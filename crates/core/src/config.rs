@@ -115,6 +115,7 @@ pub struct ClusterConfig {
     pub quorum: Arc<dyn QuorumSystem>,
     /// Maximum number of proposals the leader keeps in flight
     /// (the paper's "multiple outstanding transactions"; requirement 1).
+    /// `zab-node` derives its submit admission window from it too.
     pub max_outstanding: usize,
     /// Leader→follower ping period, in milliseconds of driver time.
     pub ping_interval_ms: u64,
@@ -128,15 +129,6 @@ pub struct ClusterConfig {
     /// Follower lag (in transactions) above which synchronization uses a
     /// full snapshot (SNAP) instead of a log diff (DIFF).
     pub snap_threshold: u64,
-    /// Client requests queued at the leader beyond the outstanding window;
-    /// requests past this limit are rejected with back-pressure
-    /// (`RejectReason::Overloaded`). Shed-don't-queue: the default is a
-    /// small multiple of `max_outstanding`, not "effectively unbounded" —
-    /// a deep standing queue only adds latency (every queued request waits
-    /// behind the whole queue) without adding throughput, and the paper's
-    /// offered-load curve plateaus precisely because excess load is
-    /// refused at admission instead of accumulating.
-    pub request_queue_limit: usize,
     /// Token-bucket budget (bytes of sync payload per second of driver
     /// time) shared by every in-flight catch-up sync the leader is
     /// shipping. Chunks past the budget wait for refills on `Tick`, so
@@ -167,7 +159,6 @@ impl ClusterConfig {
             leader_timeout_ms: 400,
             establish_timeout_ms: 2000,
             snap_threshold: 10_000,
-            request_queue_limit: 2_000,
             sync_rate_bytes_per_sec: 64 << 20,
             topology: Topology::Star,
         }

@@ -48,6 +48,14 @@ use zab_trace::{Stage, Tracer};
 /// split is invisible to the protocol.
 const SYNC_CHUNK_BYTES: usize = 1 << 20;
 
+/// Client requests queued at the leader beyond the outstanding window;
+/// requests past this many are rejected with back-pressure
+/// (`RejectReason::Overloaded`). Shed-don't-queue: a deep standing queue
+/// only adds latency without adding throughput. A `zab-node` replica
+/// never fills it (its admission ceiling is `max_outstanding`); it bounds
+/// drivers that feed the automaton directly, such as the simulator.
+const MAX_QUEUED_REQUESTS: usize = 2_000;
+
 /// Per-transaction overhead allowance (zxid + framing) when budgeting
 /// sync chunks, so streams of tiny transactions still chunk sanely.
 const SYNC_TXN_OVERHEAD: usize = 64;
@@ -1304,7 +1312,7 @@ impl Leader {
             out.push(Action::ClientRequestRejected { data, reason: RejectReason::NotPrimary });
             return;
         }
-        if self.pending_requests.len() >= self.config.request_queue_limit {
+        if self.pending_requests.len() >= MAX_QUEUED_REQUESTS {
             self.metrics.requests_rejected.inc();
             out.push(Action::ClientRequestRejected { data, reason: RejectReason::Overloaded });
             return;
@@ -1941,10 +1949,9 @@ mod tests {
     }
 
     #[test]
-    fn request_queue_limit_rejects_overload() {
+    fn full_request_queue_rejects_overload() {
         let mut config = cfg();
         config.max_outstanding = 1;
-        config.request_queue_limit = 2;
         let (mut l, _) = Leader::new(ME, config, PersistentState::default(), Zxid::ZERO, 0);
         let a = l.handle(msg(
             F2,
@@ -1957,8 +1964,11 @@ mod tests {
         ));
         complete_persists(&mut l, &a);
         l.handle(msg(F2, Message::AckNewLeader { epoch: Epoch(1), last_zxid: Zxid::ZERO }));
-        for _ in 0..3 {
-            l.handle(Input::ClientRequest { data: Bytes::from_static(b"y") });
+        // One proposal fills the window; the queue then takes exactly
+        // MAX_QUEUED_REQUESTS more before it sheds.
+        for _ in 0..=MAX_QUEUED_REQUESTS {
+            let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"y") });
+            assert!(!a.iter().any(|x| matches!(x, Action::ClientRequestRejected { .. })));
         }
         let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"z") });
         assert!(a.iter().any(|x| matches!(

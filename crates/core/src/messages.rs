@@ -106,8 +106,7 @@ pub enum Message {
         txn: Txn,
         /// The leader's highest committed zxid at proposal time — a
         /// cumulative commit-up-to watermark (see [`Message::Commit`]).
-        /// Always strictly below `txn.zxid`; [`Zxid::ZERO`] on frames
-        /// from peers predating the watermark (legacy tag).
+        /// Always strictly below `txn.zxid`.
         commit_up_to: Zxid,
     },
     /// Phase 3 (f → l): the proposal is durable at this follower. Acks are
@@ -176,15 +175,13 @@ const TAG_SYNC_SNAP: u8 = 6;
 const TAG_NEW_LEADER: u8 = 7;
 const TAG_ACK_NEW_LEADER: u8 = 8;
 const TAG_UP_TO_DATE: u8 = 9;
-const TAG_PROPOSE: u8 = 10;
+// Tag 10 is retired: it was the watermark-less PROPOSE. Tags are
+// append-only, so it must never be reused; it now fails to decode.
 const TAG_ACK: u8 = 11;
 const TAG_COMMIT: u8 = 12;
 const TAG_PING: u8 = 13;
 const TAG_PONG: u8 = 14;
-/// `PROPOSE` with a piggybacked commit watermark. Encoding always emits
-/// this tag; plain [`TAG_PROPOSE`] still decodes (watermark
-/// [`Zxid::ZERO`], i.e. "no information") so mixed-version ensembles
-/// interoperate during a rolling upgrade.
+/// `PROPOSE` with a piggybacked commit watermark.
 const TAG_PROPOSE_COMMIT: u8 = 15;
 /// Sync-stream chunk acknowledgement (paced catch-up flow control).
 const TAG_SYNC_ACK: u8 = 16;
@@ -384,7 +381,6 @@ impl Message {
                 last_zxid: Zxid(cur.get_u64_le_wire()?),
             },
             TAG_UP_TO_DATE => Message::UpToDate { commit_to: Zxid(cur.get_u64_le_wire()?) },
-            TAG_PROPOSE => Message::Propose { txn: Txn::decode(cur)?, commit_up_to: Zxid::ZERO },
             TAG_PROPOSE_COMMIT => {
                 let commit_up_to = Zxid(cur.get_u64_le_wire()?);
                 Message::Propose { txn: Txn::decode(cur)?, commit_up_to }
@@ -532,16 +528,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_propose_tag_decodes_with_zero_watermark() {
-        // A pre-watermark peer sends TAG_PROPOSE with just the txn; it
-        // must decode as a Propose carrying the "no information"
-        // watermark.
-        let t = txn(4, 1);
-        let mut wire = vec![TAG_PROPOSE];
-        t.encode(&mut wire);
+    fn retired_propose_tag_is_rejected() {
+        // Tag 10 was the watermark-less PROPOSE. It is retired, not
+        // reused: a frame carrying it is an invalid tag.
+        let mut wire = vec![10u8];
+        txn(4, 1).encode(&mut wire);
         assert_eq!(
-            Message::decode(&wire).expect("legacy decode"),
-            Message::Propose { txn: t, commit_up_to: Zxid::ZERO }
+            Message::decode(&wire),
+            Err(WireError::InvalidTag { tag: 10, context: "Message" })
         );
     }
 

@@ -43,8 +43,8 @@ pub struct CoreMetrics {
     /// Catch-up syncs served via log replay (DIFF or TRUNC).
     pub diff_syncs: Arc<Counter>,
     /// Client requests the leader bounced with back-pressure
-    /// (`RejectReason::Overloaded`): the pending queue was at
-    /// [`crate::ClusterConfig::request_queue_limit`]. Shed, never queued —
+    /// (`RejectReason::Overloaded`): the pending queue beyond the
+    /// outstanding window was full (2,000 requests). Shed, never queued —
     /// a growing counter under steady load means the admission window
     /// above is letting more in than the pipeline drains.
     pub requests_rejected: Arc<Counter>,

@@ -13,7 +13,7 @@
 //! - [`Registry`]: name → instrument table. Registration takes a mutex;
 //!   recorded values never do — callers hold `Arc` handles to the atomics.
 //! - [`Snapshot`]: a point-in-time copy of everything, with a dependency-free
-//!   JSON encoder ([`Snapshot::to_json`]) for dump files and CI artifacts.
+//!   JSON encoder ([`Snapshot::to_json`]) for CI artifacts and test oracles.
 //! - [`Clock`] / [`Span`]: the tracing seam. A [`Span`] is a scoped timer
 //!   that records its lifetime into a histogram on drop, so the hot path
 //!   (request → propose → quorum ack → commit → deliver) reads as nested
@@ -416,9 +416,9 @@ pub fn peer_metric(base: &str, peer: impl std::fmt::Display) -> String {
     format!("{base}.{}", sanitize_component(&peer.to_string()))
 }
 
-/// Minimal JSON string encoder (instrument names are ASCII identifiers,
-/// but escape defensively anyway).
-fn json_string(s: &str) -> String {
+/// Encodes `s` as a quoted JSON string literal that parses back to `s`
+/// (quotes, backslashes and every control character are escaped).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

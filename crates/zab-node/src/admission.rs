@@ -32,6 +32,29 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
+/// Floor of the adaptive window. Deep enough that the pipeline stays busy
+/// even when the controller is maximally defensive: the measured
+/// `throughput_vs_outstanding` curve still does ~26 k ops/s at depth 32
+/// and ~75% of peak at 64.
+const MIN_WINDOW: usize = 64;
+/// Seed of the adaptive window: the middle of the measured throughput
+/// knee (the `throughput_vs_outstanding` curve flattens between 128 and
+/// 512).
+const INITIAL_WINDOW: usize = 256;
+
+/// The gate's `(floor, seed, ceiling)` for a protocol window of
+/// `max_outstanding` ([`zab_core::ClusterConfig::max_outstanding`]), the
+/// one admission parameter: the ceiling is the protocol window itself, so
+/// a replica never admits more of its own submissions than the leader may
+/// have outstanding, and `floor ≤ seed ≤ ceiling` always holds. A window
+/// at or below [`MIN_WINDOW`] pins the gate (floor = seed = ceiling).
+pub(crate) fn admission_bounds(max_outstanding: usize) -> (usize, usize, usize) {
+    let max = max_outstanding.max(1);
+    let min = MIN_WINDOW.clamp(1, max);
+    let initial = INITIAL_WINDOW.clamp(min, max);
+    (min, initial, max)
+}
+
 /// Outcome of an admission attempt against the gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Admission {
@@ -224,7 +247,6 @@ impl SubmitGate {
 /// All arithmetic is integer/f64 on caller-provided timestamps — no
 /// hidden clock, so tests drive it deterministically.
 pub(crate) struct AdaptiveWindow {
-    enabled: bool,
     cap: usize,
     min: usize,
     max: usize,
@@ -251,12 +273,11 @@ impl AdaptiveWindow {
     /// Minimum samples before an adjustment is meaningful.
     const MIN_SAMPLES: u64 = 8;
 
-    pub(crate) fn new(enabled: bool, min: usize, initial: usize, max: usize) -> AdaptiveWindow {
-        let max = max.max(1);
-        let min = min.clamp(1, max);
-        let cap = initial.clamp(min, max);
+    /// A controller for a protocol window of `max_outstanding`, bounded
+    /// and seeded by [`admission_bounds`].
+    pub(crate) fn new(max_outstanding: usize) -> AdaptiveWindow {
+        let (min, cap, max) = admission_bounds(max_outstanding);
         AdaptiveWindow {
-            enabled,
             cap,
             min,
             max,
@@ -295,9 +316,6 @@ impl AdaptiveWindow {
     /// exception: a never-set floor takes its first interval's minimum
     /// even under shedding, else the target would be unbounded.)
     pub(crate) fn observe(&mut self, latency_ms: u64, now_ms: u64, sheds: u64) -> Option<usize> {
-        if !self.enabled {
-            return None;
-        }
         self.sum_ms += latency_ms;
         self.count += 1;
         self.interval_min_ms = self.interval_min_ms.min(latency_ms);
@@ -523,7 +541,7 @@ mod tests {
 
     #[test]
     fn window_shrinks_under_queueing_and_recovers() {
-        let mut w = AdaptiveWindow::new(true, 64, 256, 1000);
+        let mut w = AdaptiveWindow::new(1000);
         assert_eq!(w.cap(), 256);
         // Establish a 1 ms no-load floor.
         let now = drive(&mut w, 1, 0, 4);
@@ -535,23 +553,29 @@ mod tests {
         assert_eq!(w.cap(), 1000, "window did not recover after the queueing cleared");
     }
 
+    /// The bounds every protocol window derives: a deep window adapts
+    /// between the 64 floor and itself from the 256 seed; a window at or
+    /// below the floor pins the gate.
     #[test]
-    fn window_respects_bounds_and_seed_clamping() {
-        // Seed above max clamps down; min above max clamps to max.
-        let w = AdaptiveWindow::new(true, 64, 256, 128);
-        assert_eq!(w.cap(), 128);
-        let w = AdaptiveWindow::new(true, 64, 8, 128);
-        assert_eq!(w.cap(), 64);
-        let w = AdaptiveWindow::new(true, 500, 256, 128);
-        assert_eq!(w.cap(), 128);
+    fn admission_bounds_derive_from_max_outstanding() {
+        assert_eq!(admission_bounds(1000), (64, 256, 1000));
+        assert_eq!(admission_bounds(512), (64, 256, 512));
+        assert_eq!(admission_bounds(128), (64, 128, 128));
+        assert_eq!(admission_bounds(2), (2, 2, 2));
+        assert_eq!(admission_bounds(1), (1, 1, 1));
+        assert_eq!(admission_bounds(0), (1, 1, 1));
+        assert_eq!(AdaptiveWindow::new(1000).cap(), 256);
+        assert_eq!(AdaptiveWindow::new(128).cap(), 128);
     }
 
+    /// A pinned window (floor = ceiling) never moves, whatever latency
+    /// it observes.
     #[test]
-    fn disabled_controller_never_moves() {
-        let mut w = AdaptiveWindow::new(false, 64, 512, 1000);
+    fn pinned_window_never_moves() {
+        let mut w = AdaptiveWindow::new(2);
         let now = drive(&mut w, 200, 0, 20);
         drive(&mut w, 1, now, 20);
-        assert_eq!(w.cap(), 512);
+        assert_eq!(w.cap(), 2);
     }
 
     /// The overload feedback loop: under sustained saturation every
@@ -564,7 +588,7 @@ mod tests {
     /// the ceiling nor getting pinned at the minimum.
     #[test]
     fn shedding_freezes_floor_so_window_settles_at_the_knee() {
-        let mut w = AdaptiveWindow::new(true, 64, 256, 4096);
+        let mut w = AdaptiveWindow::new(4096);
         // Establish a 2 ms no-load floor (target = 9 ms) while unloaded.
         let mut now = drive(&mut w, 2, 0, 4);
         // Sustained overload: the gate sheds every interval, and the
@@ -598,7 +622,7 @@ mod tests {
     /// reads as `u64::MAX`, whose target would admit runaway growth).
     #[test]
     fn overloaded_from_birth_bootstraps_a_floor() {
-        let mut w = AdaptiveWindow::new(true, 64, 256, 4096);
+        let mut w = AdaptiveWindow::new(4096);
         let mut now = 0;
         let mut sheds = 0;
         for _ in 0..40 {
@@ -618,7 +642,7 @@ mod tests {
 
     #[test]
     fn stale_floor_ages_out() {
-        let mut w = AdaptiveWindow::new(true, 64, 256, 1000);
+        let mut w = AdaptiveWindow::new(1000);
         // A 1 ms floor from a cold regime...
         let now = drive(&mut w, 1, 0, 4);
         // ...then the true service time becomes 12 ms (e.g. disk added).

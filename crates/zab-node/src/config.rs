@@ -29,36 +29,6 @@ pub struct NodeConfig {
     /// since the last compaction exceed this; `None` disables the bytes
     /// trigger. Either threshold firing compacts and resets both.
     pub snapshot_bytes: Option<u64>,
-    /// Periodically dump a JSON metrics snapshot to this file (written
-    /// via a temp file + rename, so readers never see a torn dump);
-    /// `None` disables dumping.
-    pub metrics_dump_path: Option<PathBuf>,
-    /// Interval between metrics dumps in milliseconds.
-    pub metrics_dump_every_ms: u64,
-    /// Submit-side admission window *ceiling*: the gate never admits more
-    /// than this many of this replica's own requests in flight (submitted
-    /// but not yet delivered or rejected). [`crate::Replica::submit`]
-    /// blocks at the gate; [`crate::Replica::try_submit`] and
-    /// [`crate::Replica::submit_deadline`] shed instead. `None` (default)
-    /// tracks the protocol window ([`ClusterConfig::max_outstanding`]).
-    pub submit_window: Option<usize>,
-    /// Adaptive admission (default `true`): the gate's live capacity
-    /// starts at [`NodeConfig::admission_initial_window`] and is steered
-    /// between [`NodeConfig::admission_min_window`] and the submit-window
-    /// ceiling by a latency-target controller tracking the commit
-    /// pipeline's observed in-flight sweet spot (DESIGN.md §5c). `false`
-    /// pins the gate at the ceiling (the pre-adaptive behavior).
-    pub adaptive_window: bool,
-    /// Floor for the adaptive admission window (clamped to the ceiling).
-    /// Deep enough that the pipeline stays busy even when the controller
-    /// is maximally defensive: the measured `throughput_vs_outstanding`
-    /// curve still does ~26 k ops/s at depth 32 and ~75% of peak at 64.
-    pub admission_min_window: usize,
-    /// Seed for the adaptive admission window; `None` (default) seeds at
-    /// 256, the middle of the measured throughput knee (the
-    /// `throughput_vs_outstanding` curve flattens between 128 and 512).
-    /// Clamped between the floor and the ceiling.
-    pub admission_initial_window: Option<usize>,
     /// Serve the admin HTTP endpoint (`GET /metrics`, `GET /health`,
     /// `GET /trace?last=N`) on this address; `None` (default) disables
     /// it. The endpoint is unauthenticated — bind loopback
@@ -95,51 +65,10 @@ impl NodeConfig {
             tick_ms: 5,
             snapshot_every: None,
             snapshot_bytes: None,
-            metrics_dump_path: None,
-            metrics_dump_every_ms: 1000,
-            submit_window: None,
-            adaptive_window: true,
-            admission_min_window: 64,
-            admission_initial_window: None,
             admin_addr: None,
             trace_capacity: 4096,
             tracing: true,
         }
-    }
-
-    /// The effective submit window (see [`NodeConfig::submit_window`]).
-    pub fn effective_submit_window(&self) -> usize {
-        self.submit_window.unwrap_or(self.cluster.max_outstanding).max(1)
-    }
-
-    /// The admission gate's `(floor, seed, ceiling)`, mutually clamped:
-    /// `floor ≤ seed ≤ ceiling` always holds, whatever was configured.
-    pub fn effective_admission_bounds(&self) -> (usize, usize, usize) {
-        let max = self.effective_submit_window();
-        let min = self.admission_min_window.clamp(1, max);
-        let initial = self.admission_initial_window.unwrap_or(256).clamp(min, max);
-        (min, initial, max)
-    }
-
-    /// Caps this replica's own in-flight submissions at `window`.
-    pub fn with_submit_window(mut self, window: usize) -> NodeConfig {
-        self.submit_window = Some(window);
-        self
-    }
-
-    /// Enables or disables the adaptive admission controller (see
-    /// [`NodeConfig::adaptive_window`]).
-    pub fn with_adaptive_window(mut self, adaptive: bool) -> NodeConfig {
-        self.adaptive_window = adaptive;
-        self
-    }
-
-    /// Sets the adaptive admission floor and seed (both clamped to the
-    /// submit-window ceiling at boot).
-    pub fn with_admission_bounds(mut self, min: usize, initial: usize) -> NodeConfig {
-        self.admission_min_window = min.max(1);
-        self.admission_initial_window = Some(initial.max(1));
-        self
     }
 
     /// Uses file-backed storage rooted at `dir`.
@@ -158,14 +87,6 @@ impl NodeConfig {
     /// accumulate since the last compaction.
     pub fn with_snapshot_bytes(mut self, bytes: u64) -> NodeConfig {
         self.snapshot_bytes = Some(bytes);
-        self
-    }
-
-    /// Enables periodic JSON metrics dumps to `path` every `every_ms`
-    /// milliseconds (see [`zab_metrics::Snapshot::to_json`]).
-    pub fn with_metrics_dump(mut self, path: impl Into<PathBuf>, every_ms: u64) -> NodeConfig {
-        self.metrics_dump_path = Some(path.into());
-        self.metrics_dump_every_ms = every_ms.max(1);
         self
     }
 

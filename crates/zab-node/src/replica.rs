@@ -10,7 +10,6 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
-use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -205,13 +204,8 @@ impl<A: Application> Replica<A> {
                 .with_clock(Arc::clone(&clock))
                 .with_tracer(tracer.clone()),
         );
-        let transport = Transport::start_traced(
-            id,
-            listen,
-            cfg.peers.clone(),
-            Arc::clone(&metrics),
-            tracer.clone(),
-        )?;
+        let transport =
+            Transport::start(id, listen, cfg.peers.clone(), Arc::clone(&metrics), tracer.clone())?;
         let storage = Arc::new(Mutex::new(storage));
 
         let (commands_tx, commands_rx) = unbounded();
@@ -221,8 +215,7 @@ impl<A: Application> Replica<A> {
         let role = Arc::new(Mutex::new(Role::Looking));
         let app = Arc::new(Mutex::new(app));
         let node_metrics = NodeMetrics::registered(&metrics);
-        let (adm_min, adm_initial, adm_max) = cfg.effective_admission_bounds();
-        let admission = AdaptiveWindow::new(cfg.adaptive_window, adm_min, adm_initial, adm_max);
+        let admission = AdaptiveWindow::new(cfg.cluster.max_outstanding);
         let submit_gate = Arc::new(SubmitGate::new(admission.cap()));
         node_metrics.submit_window.set(admission.cap() as i64);
         let health = Arc::new(Mutex::new(HealthState::new(
@@ -329,8 +322,6 @@ impl<A: Application> Replica<A> {
             admission,
             tracer,
             health,
-            last_dump_ms: 0,
-            dump_seq: 0,
             submit_gate: Arc::clone(&submit_gate),
             delivery_hash: DeliveryHash::new(),
             published_hash_version: 0,
@@ -542,10 +533,6 @@ struct EventLoop<A: Application> {
     tracer: Tracer,
     /// Health facts served by the admin endpoint.
     health: Arc<Mutex<HealthState>>,
-    last_dump_ms: u64,
-    /// Dump sequence number: readers of the metrics dump can tell two
-    /// observations apart even if every counter happens to be equal.
-    dump_seq: u64,
     /// Shared with [`Replica::submit`]: every acquired slot is released
     /// exactly once — on delivery, rejection, or demotion.
     submit_gate: Arc<SubmitGate>,
@@ -596,7 +583,6 @@ impl<A: Application> EventLoop<A> {
                     let now_ms = self.now_ms();
                     self.feed_election(ElectionInput::Tick { now_ms });
                     self.feed_zab(Input::Tick { now_ms });
-                    self.maybe_dump_metrics(now_ms);
                 }
                 recv(self.commands_rx) -> cmd => match cmd {
                     Ok(cmd) => {
@@ -711,28 +697,6 @@ impl<A: Application> EventLoop<A> {
         let _ = self.events_tx.send(NodeEvent::StorageFault { context, error });
     }
 
-    /// Best-effort periodic metrics dump: a torn or failed write must
-    /// never hurt the replica, so errors are swallowed and the file is
-    /// replaced atomically via a temp-file rename ([`write_atomic`]).
-    /// Each dump carries a strictly increasing `seq` plus a
-    /// `dumped_at_ms` wall timestamp, so a reader can order two
-    /// observations even when every counter in them is equal.
-    fn maybe_dump_metrics(&mut self, now_ms: u64) {
-        let Some(path) = self.cfg.metrics_dump_path.as_ref() else { return };
-        if now_ms < self.last_dump_ms.saturating_add(self.cfg.metrics_dump_every_ms) {
-            return;
-        }
-        self.last_dump_ms = now_ms;
-        self.dump_seq += 1;
-        let body = self.registry.snapshot().to_json();
-        let wall_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_millis() as u64);
-        // Splice the envelope into the snapshot's own JSON object.
-        let json = format!("{{\"seq\":{},\"dumped_at_ms\":{wall_ms},{}", self.dump_seq, &body[1..]);
-        let _ = write_atomic(path, json.as_bytes());
-    }
-
     fn begin_election(&mut self) {
         let recovered = self.storage.lock().recover();
         let rec = match recovered {
@@ -789,7 +753,7 @@ impl<A: Application> EventLoop<A> {
         for a in acts {
             match a {
                 ElectionAction::Send { to, notification } => {
-                    self.transport.queue(to, TransportMsg::Election(notification));
+                    self.transport.queue(&[to], TransportMsg::Election(notification));
                 }
                 ElectionAction::Decided { leader } => {
                     let recovered = self.storage.lock().recover();
@@ -837,7 +801,7 @@ impl<A: Application> EventLoop<A> {
                     if matches!(msg, Message::Forward { .. }) {
                         self.relay_forwards.inc();
                     }
-                    self.transport.queue(to, TransportMsg::Zab(msg))
+                    self.transport.queue(&[to], TransportMsg::Zab(msg))
                 }
                 Action::Broadcast { to, msg } => {
                     if matches!(msg, Message::Forward { .. }) {
@@ -845,7 +809,7 @@ impl<A: Application> EventLoop<A> {
                     }
                     // One encode, one frame, shared across every target's
                     // write buffer.
-                    self.transport.queue_broadcast(&to, TransportMsg::Zab(msg));
+                    self.transport.queue(&to, TransportMsg::Zab(msg));
                 }
                 Action::Persist { token, req } => {
                     let _ = self.disk_tx.send(DiskCmd::Persist(token, req));
@@ -1108,20 +1072,6 @@ impl<A: Application> EventLoop<A> {
     }
 }
 
-/// Writes `bytes` to `path` atomically: the content lands in a sibling
-/// temp file first and is renamed into place, so a concurrent reader
-/// observes either the previous complete file or the new complete file —
-/// never a prefix. Used by the periodic metrics dump.
-///
-/// # Errors
-///
-/// Fails if the temp file cannot be written or the rename fails.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
-}
-
 /// Convenience: true once the role is an established leader.
 pub fn is_established(role: Role) -> bool {
     matches!(role, Role::Leading { established: true, .. })
@@ -1129,61 +1079,3 @@ pub fn is_established(role: Role) -> bool {
 
 /// Convenience: the zxid type re-exported for embedding programs.
 pub type AppliedZxid = Zxid;
-
-#[cfg(test)]
-mod tests {
-    use super::write_atomic;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    /// Satellite regression: a reader polling the metrics dump must never
-    /// observe a torn or partial file, and `seq` must move forward. The
-    /// writer hammers dumps of wildly varying sizes while the reader
-    /// re-reads the same path; any prefix-only observation fails.
-    #[test]
-    fn atomic_dump_is_never_observed_torn() {
-        let dir = std::env::temp_dir().join(format!("zab-atomic-dump-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("metrics.json");
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let path = path.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut seq = 0u64;
-                while !stop.load(Ordering::SeqCst) {
-                    seq += 1;
-                    let pad = "x".repeat(1 + (seq as usize * 97) % 4096);
-                    let json = format!("{{\"seq\":{seq},\"dumped_at_ms\":0,\"pad\":\"{pad}\"}}");
-                    write_atomic(&path, json.as_bytes()).expect("dump");
-                }
-            })
-        };
-        // Wait for the first dump, then check every observation.
-        while !path.exists() {
-            std::thread::yield_now();
-        }
-        let mut last_seq = 0u64;
-        for _ in 0..2_000 {
-            let json = std::fs::read_to_string(&path).expect("read dump");
-            assert!(json.starts_with("{\"seq\":"), "torn head: {json:.40}");
-            assert!(
-                json.ends_with('}'),
-                "torn tail: ...{:.40}",
-                &json[json.len().saturating_sub(40)..]
-            );
-            let seq: u64 = json["{\"seq\":".len()..]
-                .split(',')
-                .next()
-                .expect("seq field")
-                .parse()
-                .expect("seq parses");
-            assert!(seq >= last_seq, "seq went backwards: {seq} < {last_seq}");
-            last_seq = seq;
-        }
-        stop.store(true, Ordering::SeqCst);
-        writer.join().expect("writer");
-        assert!(last_seq > 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}

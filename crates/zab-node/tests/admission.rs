@@ -31,9 +31,10 @@ fn start_cluster(
 ) -> BTreeMap<ServerId, Replica<BytesApp>> {
     book.keys()
         .map(|&id| {
-            let cfg = NodeConfig::new(id, book.clone())
-                .with_submit_window(window)
-                .with_adaptive_window(false);
+            // A protocol window at or below the adaptive floor (64) pins
+            // the gate at exactly `window` slots.
+            let mut cfg = NodeConfig::new(id, book.clone());
+            cfg.cluster.max_outstanding = window;
             (id, Replica::start(cfg, BytesApp::new()).expect("start"))
         })
         .collect()

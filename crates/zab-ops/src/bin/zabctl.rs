@@ -160,24 +160,7 @@ fn run_audit(opts: &Opts) -> ExitCode {
         let violations = state.check_round(&snap, opts.watch);
         total += violations.len() as u64;
         if opts.json {
-            let mut out = String::from("{\"round\":");
-            out.push_str(&round.to_string());
-            out.push_str(",\"nodes\":");
-            out.push_str(&snap.nodes.len().to_string());
-            out.push_str(",\"violations\":[");
-            for (i, v) in violations.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"kind\":\"{}\",\"node\":{},\"detail\":\"{}\"}}",
-                    v.kind,
-                    v.node,
-                    v.detail.replace('\\', "\\\\").replace('"', "\\\"")
-                ));
-            }
-            out.push_str("]}");
-            println!("{out}");
+            println!("{}", status::render_audit_json(round, snap.nodes.len(), &violations));
         } else {
             if violations.is_empty() {
                 println!(

@@ -1,29 +1,16 @@
-//! `zabctl status` / `zabctl trace` output assembly and rendering.
+//! `zabctl status` / `zabctl trace` output assembly and rendering, plus
+//! the `zabctl audit --json` line.
 //!
 //! Both commands render twice: a human table for terminals and a JSON
 //! document for scripts (`--json`), with the same facts in each.
 
+use crate::audit::Violation;
 use crate::model::NodeHealth;
 use crate::scrape::EnsembleSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use zab_metrics::json_string;
 use zab_trace::TraceEvent;
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn zxid_display(z: u64) -> String {
     format!("{}:{}", z >> 32, z & 0xffff_ffff)
@@ -92,15 +79,15 @@ fn node_json(n: &NodeHealth) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"node\":{},\"addr\":\"{}\",\"role\":\"{}\",\"active\":{},\"epoch\":{},\
-         \"last_committed\":\"{}\",\"last_committed_zxid\":{},\
+        "{{\"node\":{},\"addr\":{},\"role\":{},\"active\":{},\"epoch\":{},\
+         \"last_committed\":{},\"last_committed_zxid\":{},\
          \"commit_latency_ms\":{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}},\"lag\":[",
         n.node,
-        esc(&n.addr),
-        esc(&n.role),
+        json_string(&n.addr),
+        json_string(&n.role),
         n.active,
         n.epoch,
-        esc(&n.last_committed),
+        json_string(&n.last_committed),
         n.last_committed_zxid,
         n.commit_latency_ms.count,
         n.commit_latency_ms.p50,
@@ -141,12 +128,12 @@ pub fn render_status_json(snap: &EnsembleSnapshot) -> String {
             let _ = write!(
                 out,
                 "{{\"leader\":{},\"epoch\":{},\"last_committed_zxid\":{},\
-                 \"last_committed\":\"{}\",\"topology\":\"{}\"",
+                 \"last_committed\":{},\"topology\":{}",
                 l.node,
                 l.epoch,
                 l.last_committed_zxid,
-                esc(&l.last_committed),
-                esc(&l.topology)
+                json_string(&l.last_committed),
+                json_string(&l.topology)
             );
         }
         None => out.push_str("{\"leader\":null,\"epoch\":null,\"last_committed_zxid\":0"),
@@ -163,7 +150,29 @@ pub fn render_status_json(snap: &EnsembleSnapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{{\"addr\":\"{}\",\"error\":\"{}\"}}", esc(addr), esc(err));
+        let _ = write!(out, "{{\"addr\":{},\"error\":{}}}", json_string(addr), json_string(err));
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Renders one `zabctl audit --json` round as one JSON line. Every
+/// string goes through one escaper: a violation's detail can embed an
+/// operator-supplied node address.
+pub fn render_audit_json(round: u64, nodes: usize, violations: &[Violation]) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "{{\"round\":{round},\"nodes\":{nodes},\"violations\":[");
+    for (i, v) in violations.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"kind\":{},\"node\":{},\"detail\":{}}}",
+            json_string(v.kind),
+            v.node,
+            json_string(&v.detail)
+        );
     }
     out.push_str("]}");
     out
@@ -300,6 +309,24 @@ mod tests {
             Some(4)
         );
         assert_eq!(parsed.get("errors").map(|e| e.items().len()), Some(1));
+    }
+
+    #[test]
+    fn audit_json_escapes_control_characters_in_details() {
+        let detail = "unreachable \"127.0.0.1:1\"\tconnect:\nrefused \\ \u{1}";
+        let violations = [
+            Violation { kind: "unreachable", node: 0, detail: detail.to_string() },
+            Violation { kind: "double-leader", node: 2, detail: "epoch 3".to_string() },
+        ];
+        let json = render_audit_json(7, 3, &violations);
+        assert!(!json.contains('\n') && !json.contains('\t'), "raw control char: {json}");
+        let parsed = crate::json::Json::parse(&json).expect("valid json");
+        assert_eq!(parsed.get("round").and_then(crate::json::Json::as_u64), Some(7));
+        assert_eq!(parsed.get("nodes").and_then(crate::json::Json::as_u64), Some(3));
+        let first = parsed.get("violations").and_then(|v| v.idx(0));
+        assert_eq!(first.and_then(|v| v.get("detail")).and_then(|d| d.as_str()), Some(detail));
+        assert_eq!(first.and_then(|v| v.get("kind")).and_then(|d| d.as_str()), Some("unreachable"));
+        assert_eq!(parsed.get("violations").map(|v| v.items().len()), Some(2));
     }
 
     #[test]

@@ -23,24 +23,20 @@
 //!   node), and every failed dial surfaces as
 //!   [`TransportEvent::ConnectFailed`] rather than vanishing.
 //!
-//! ## Architecture: inline sends, one readiness loop
+//! ## Architecture: corked sends, one readiness loop
 //!
-//! Sends run on the **caller's** thread: [`Transport::send`] and
-//! [`Transport::broadcast`] encode the message once into a refcounted
-//! [`Frame`](conn::Frame) (payload bytes *and* checksum computed exactly
-//! once, shared across every target peer), take the peer's write lock,
-//! and flush straight into the nonblocking socket — one vectored write
-//! covering up to 64 frames / 256 KiB per syscall, resuming partial
-//! writes from a cursor ([`conn::WriteBuf`]). The hot path costs no
-//! cross-thread handoff and no wakeup.
-//!
-//! Callers with batchy traffic — the replica event loop above all — use
-//! the corked forms: [`Transport::queue`] / [`Transport::queue_broadcast`]
-//! append frames without flushing, and one [`Transport::flush`] at the
-//! caller's batch boundary writes each peer's accumulated burst in a
-//! single vectored syscall. This recovers, deliberately and at an
-//! explicit boundary, the write amortization the old design got as a
-//! side effect of its per-peer writer threads falling behind.
+//! Sends run on the **caller's** thread. [`Transport::queue`] encodes the
+//! message once into a refcounted [`Frame`](conn::Frame) (payload bytes
+//! *and* checksum computed exactly once, shared across every target
+//! peer) and appends a handle to each target's write buffer without
+//! flushing. One [`Transport::flush`] at the caller's batch boundary —
+//! the replica event loop flushes after each drained event batch — then
+//! takes each touched peer's write lock and writes its accumulated burst
+//! straight into the nonblocking socket: one vectored write covering up
+//! to 64 frames / 256 KiB per syscall, resuming partial writes from a
+//! cursor ([`conn::WriteBuf`]). The hot path costs no cross-thread
+//! handoff and no wakeup, and a batch of sends costs one syscall per
+//! peer rather than one per message.
 //!
 //! Everything asynchronous — accepting, reading inbound frames, dialing
 //! with backoff, and draining a socket that went `WouldBlock` under a
@@ -74,7 +70,7 @@ mod wire_loop;
 
 use conn::Frame;
 use poller::Waker;
-use wire_loop::{Offer, Outbound, WireLoop};
+use wire_loop::{Outbound, WireLoop};
 
 /// A message on the mesh: protocol or election traffic.
 #[derive(Debug, Clone)]
@@ -159,15 +155,15 @@ pub enum TransportEvent {
 
 /// The TCP mesh endpoint for one replica.
 ///
-/// Create with [`Transport::start`]; send with [`Transport::send`]; drain
-/// [`Transport::events`] from the replica's event loop. Dropping the
-/// transport stops the I/O thread, joins it, and closes every socket —
-/// after `drop` returns, no further event can be emitted.
+/// Create with [`Transport::start`]; send with [`Transport::queue`] plus
+/// [`Transport::flush`]; drain [`Transport::events`] from the replica's
+/// event loop. Dropping the transport stops the I/O thread, joins it, and
+/// closes every socket — after `drop` returns, no further event can be
+/// emitted.
 pub struct Transport {
     id: ServerId,
-    /// Every configured peer (self excluded), the default broadcast set.
-    peers: Vec<ServerId>,
-    /// Each peer's shared write half: senders flush inline through these.
+    /// Each peer's shared write half: [`Transport::flush`] writes inline
+    /// through these.
     outs: BTreeMap<ServerId, Arc<Outbound>>,
     waker: Waker,
     events_rx: Receiver<TransportEvent>,
@@ -180,7 +176,7 @@ pub struct Transport {
     /// Sends that went nowhere: unknown peer, or peer not connected.
     send_dropped: Arc<Counter>,
     /// Flight-recorder handle: wire-out/wire-in instants for broadcast
-    /// traffic (disabled unless built via [`Transport::start_traced`]).
+    /// traffic.
     tracer: Tracer,
 }
 
@@ -189,53 +185,24 @@ impl Transport {
     /// the listener and every peer connection (peers may be down; the
     /// loop re-dials forever).
     ///
-    /// Metrics are recorded into a private registry; use
-    /// [`Transport::start_with_metrics`] to share the replica's.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the listen socket cannot be bound.
-    pub fn start(
-        id: ServerId,
-        listen: SocketAddr,
-        peers: BTreeMap<ServerId, SocketAddr>,
-    ) -> std::io::Result<Transport> {
-        Transport::start_with_metrics(id, listen, peers, Arc::new(Registry::new()))
-    }
-
-    /// [`Transport::start`] recording into `metrics`: per-peer counters
+    /// Records into `metrics`: per-peer counters
     /// `transport.{bytes,frames}_{in,out}.<peer>`, dial accounting
     /// `transport.{connects,connect_failures,disconnects}.<peer>`, the
     /// `transport.send_queue_depth.<peer>` gauge, per-flush
     /// `transport.batch_{frames,bytes}.<peer>` histograms, and the
-    /// node-wide `transport.send_dropped` counter. Instruments must exist
-    /// at thread spawn, which is why the registry is a constructor argument
-    /// rather than a `set_metrics` seam.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the listen socket cannot be bound.
-    pub fn start_with_metrics(
-        id: ServerId,
-        listen: SocketAddr,
-        peers: BTreeMap<ServerId, SocketAddr>,
-        metrics: Arc<Registry>,
-    ) -> std::io::Result<Transport> {
-        Transport::start_traced(id, listen, peers, metrics, Tracer::disabled())
-    }
-
-    /// [`Transport::start_with_metrics`] plus a flight-recorder handle:
-    /// every traced Zab message (PROPOSE/ACK/COMMIT) records a `wire-out`
-    /// instant when queued and a `wire-in` instant when decoded off a
+    /// node-wide `transport.send_dropped` counter. Every traced Zab
+    /// message (PROPOSE/ACK/COMMIT) records a `wire-out` instant into
+    /// `tracer` when queued and a `wire-in` instant when decoded off a
     /// peer's connection, keyed by the zxid carried in the frame — no
-    /// extra wire bytes. Like the registry, the tracer is a constructor
-    /// argument because the wire loop captures it at spawn.
+    /// extra wire bytes. Both are constructor arguments because the wire
+    /// loop captures them at spawn; pass [`Tracer::disabled`] to record
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Fails if the listen socket cannot be bound or the I/O thread
     /// cannot be spawned.
-    pub fn start_traced(
+    pub fn start(
         id: ServerId,
         listen: SocketAddr,
         peers: BTreeMap<ServerId, SocketAddr>,
@@ -267,7 +234,6 @@ impl Transport {
             .spawn(move || wire_loop.run())?;
         Ok(Transport {
             id,
-            peers: peers.keys().copied().filter(|&p| p != id).collect(),
             outs,
             waker,
             events_rx,
@@ -295,51 +261,18 @@ impl Transport {
         self.local_addr
     }
 
-    /// Sends `msg` to `peer`, written inline on this thread when the
-    /// socket can take it. Messages to unknown peers, or sent while the
-    /// peer is unreachable, are dropped without panicking — the protocol
+    /// Corks `msg` into the write buffer of every peer in `peers` without
+    /// flushing, encoding it exactly once: one frame (payload + checksum)
+    /// is built and every buffer holds a refcounted handle to it, so the
+    /// per-peer cost is independent of the payload size. Callers own the
+    /// batch boundary: after queueing everything an event batch produced,
+    /// [`Transport::flush`] sends it all in one vectored write per peer.
+    ///
+    /// `self` is skipped. Frames to unknown peers, or queued while a peer
+    /// is unreachable, are dropped without panicking — the protocol
     /// treats the channel as broken either way — and counted in
     /// `transport.send_dropped`.
-    pub fn send(&self, peer: ServerId, msg: TransportMsg) {
-        let Some(out) = self.outs.get(&peer) else {
-            self.send_dropped.inc();
-            return;
-        };
-        if let Some(zxid) = msg.traced_zxid() {
-            self.tracer.instant(Stage::WireOut, zxid, peer.0);
-        }
-        let Some(frame) = Frame::try_new(msg.encode()) else {
-            // Unframeable message (over MAX_FRAME_LEN): skipping it would
-            // silently violate FIFO, so break the channel visibly — the
-            // protocol's normal recovery for a broken channel takes over.
-            self.send_dropped.inc();
-            if out.poison() {
-                self.waker.wake();
-            }
-            return;
-        };
-        match out.offer(frame) {
-            Offer::Sent => {}
-            Offer::SentNeedsWake => self.waker.wake(),
-            Offer::Dropped => self.send_dropped.inc(),
-        }
-    }
-
-    /// Queues `msg` for every peer, encoding it exactly once: one frame
-    /// (payload + checksum) is built and every peer's write buffer holds
-    /// a refcounted handle to it, so the per-peer cost is independent of
-    /// the payload size.
-    pub fn broadcast(&self, msg: TransportMsg) {
-        let peers = self.peers.clone();
-        self.broadcast_to(&peers, msg);
-    }
-
-    /// [`Transport::broadcast`] restricted to an explicit target set —
-    /// the fan-out primitive the leader uses to reach exactly its active
-    /// followers. Unknown targets (and `self`) are skipped; unknown ones
-    /// count as dropped. One encode, one frame, N handles, each flushed
-    /// inline into its peer's socket.
-    pub fn broadcast_to(&self, peers: &[ServerId], msg: TransportMsg) {
+    pub fn queue(&self, peers: &[ServerId], msg: TransportMsg) {
         let traced = msg.traced_zxid();
         let mut frame: Option<Frame> = None;
         let mut unframeable = false;
@@ -355,10 +288,12 @@ impl Transport {
             if let Some(zxid) = traced {
                 self.tracer.instant(Stage::WireOut, zxid, peer.0);
             }
-            // Encode lazily — a broadcast whose every target is unknown
-            // never encodes at all — then clone handles, never bytes. An
-            // unframeable message poisons every reachable target: FIFO
-            // breaks visibly rather than silently skipping a message.
+            // Encode lazily — a send whose every target is unknown never
+            // encodes at all — then clone handles, never bytes. An
+            // unframeable message (over MAX_FRAME_LEN) poisons every
+            // reachable target: skipping it would silently violate FIFO,
+            // so the channel breaks visibly and the protocol's normal
+            // recovery takes over.
             if frame.is_none() && !unframeable {
                 frame = Frame::try_new(msg.encode());
                 unframeable = frame.is_none();
@@ -368,69 +303,7 @@ impl Transport {
                 need_wake |= out.poison();
                 continue;
             };
-            match out.offer(f.clone()) {
-                Offer::Sent => {}
-                Offer::SentNeedsWake => need_wake = true,
-                Offer::Dropped => self.send_dropped.inc(),
-            }
-        }
-        if need_wake {
-            self.waker.wake();
-        }
-    }
-
-    /// Corks `msg` into `peer`'s write buffer without flushing. Callers
-    /// own the batch boundary: after queueing everything an event batch
-    /// produced, [`Transport::flush`] sends it all in one vectored write
-    /// per peer. Dropping semantics match [`Transport::send`].
-    pub fn queue(&self, peer: ServerId, msg: TransportMsg) {
-        let Some(out) = self.outs.get(&peer) else {
-            self.send_dropped.inc();
-            return;
-        };
-        if let Some(zxid) = msg.traced_zxid() {
-            self.tracer.instant(Stage::WireOut, zxid, peer.0);
-        }
-        let Some(frame) = Frame::try_new(msg.encode()) else {
-            self.send_dropped.inc();
-            if out.poison() {
-                self.waker.wake();
-            }
-            return;
-        };
-        if matches!(out.queue(frame), Offer::Dropped) {
-            self.send_dropped.inc();
-        }
-    }
-
-    /// [`Transport::broadcast_to`] that corks instead of flushing: one
-    /// encode, N refcounted handles, all held until [`Transport::flush`].
-    pub fn queue_broadcast(&self, peers: &[ServerId], msg: TransportMsg) {
-        let traced = msg.traced_zxid();
-        let mut frame: Option<Frame> = None;
-        let mut unframeable = false;
-        let mut need_wake = false;
-        for &peer in peers {
-            if peer == self.id {
-                continue;
-            }
-            let Some(out) = self.outs.get(&peer) else {
-                self.send_dropped.inc();
-                continue;
-            };
-            if let Some(zxid) = traced {
-                self.tracer.instant(Stage::WireOut, zxid, peer.0);
-            }
-            if frame.is_none() && !unframeable {
-                frame = Frame::try_new(msg.encode());
-                unframeable = frame.is_none();
-            }
-            let Some(f) = &frame else {
-                self.send_dropped.inc();
-                need_wake |= out.poison();
-                continue;
-            };
-            if matches!(out.queue(f.clone()), Offer::Dropped) {
+            if !out.queue(f.clone()) {
                 self.send_dropped.inc();
             }
         }
@@ -488,6 +361,17 @@ mod tests {
         t.events().recv_timeout(timeout).ok()
     }
 
+    fn start(id: ServerId, addr: SocketAddr, book: BTreeMap<ServerId, SocketAddr>) -> Transport {
+        Transport::start(id, addr, book, Arc::new(Registry::new()), Tracer::disabled())
+            .expect("start")
+    }
+
+    /// One message to one peer, flushed immediately.
+    fn send(t: &Transport, peer: ServerId, msg: TransportMsg) {
+        t.queue(&[peer], msg);
+        t.flush();
+    }
+
     fn mesh(n: u64) -> Vec<Transport> {
         // Bind ephemeral ports first, then wire the address book.
         let listeners: Vec<(ServerId, SocketAddr)> = (1..=n)
@@ -499,10 +383,7 @@ mod tests {
             })
             .collect();
         let book: BTreeMap<ServerId, SocketAddr> = listeners.iter().copied().collect();
-        listeners
-            .iter()
-            .map(|&(id, addr)| Transport::start(id, addr, book.clone()).expect("start"))
-            .collect()
+        listeners.iter().map(|&(id, addr)| start(id, addr, book.clone())).collect()
     }
 
     #[test]
@@ -516,8 +397,8 @@ mod tests {
         drop(l2);
         let book: BTreeMap<ServerId, SocketAddr> =
             [(ServerId(1), a1), (ServerId(2), a2)].into_iter().collect();
-        let t = Transport::start(ServerId(1), a1, book).expect("start");
-        t.send(ServerId(2), TransportMsg::Zab(Message::Ack { zxid: Zxid::new(Epoch(1), 1) }));
+        let t = start(ServerId(1), a1, book);
+        send(&t, ServerId(2), TransportMsg::Zab(Message::Ack { zxid: Zxid::new(Epoch(1), 1) }));
 
         let mut attempts = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -541,7 +422,7 @@ mod tests {
         // Retry: the receiver's accept loop may still be settling.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            mesh[0].send(ServerId(2), TransportMsg::Zab(msg.clone()));
+            send(&mesh[0], ServerId(2), TransportMsg::Zab(msg.clone()));
             if let Some(TransportEvent::Message { from, msg: got }) =
                 wait_msg(&mesh[1], Duration::from_millis(300))
             {
@@ -563,7 +444,8 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut got = [false; 2];
         loop {
-            mesh[0].broadcast(TransportMsg::Zab(msg.clone()));
+            mesh[0].queue(&[ServerId(2), ServerId(3)], TransportMsg::Zab(msg.clone()));
+            mesh[0].flush();
             for (i, t) in mesh[1..].iter().enumerate() {
                 if let Some(TransportEvent::Message { from, msg: TransportMsg::Zab(m) }) =
                     wait_msg(t, Duration::from_millis(300))
@@ -587,7 +469,7 @@ mod tests {
         let probe = Message::Ack { zxid: Zxid::new(Epoch(1), 1) };
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            mesh[0].send(ServerId(2), TransportMsg::Zab(probe.clone()));
+            send(&mesh[0], ServerId(2), TransportMsg::Zab(probe.clone()));
             if wait_msg(&mesh[1], Duration::from_millis(300)).is_some() {
                 break;
             }
@@ -608,7 +490,7 @@ mod tests {
                 .collect(),
         };
         let dropped_before = mesh[0].metrics().snapshot().counter("transport.send_dropped");
-        mesh[0].send(ServerId(2), TransportMsg::Zab(giant));
+        send(&mesh[0], ServerId(2), TransportMsg::Zab(giant));
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             match wait_msg(&mesh[0], Duration::from_millis(300)) {
@@ -630,7 +512,7 @@ mod tests {
         let probe = Message::Ack { zxid: Zxid::new(Epoch(1), 1) };
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            mesh[0].send(ServerId(2), TransportMsg::Zab(probe.clone()));
+            send(&mesh[0], ServerId(2), TransportMsg::Zab(probe.clone()));
             if wait_msg(&mesh[1], Duration::from_millis(300)).is_some() {
                 break;
             }
@@ -641,7 +523,7 @@ mod tests {
         let n = 32u32;
         for i in 0..n {
             mesh[0].queue(
-                ServerId(2),
+                &[ServerId(2)],
                 TransportMsg::Zab(Message::Ack { zxid: Zxid::new(Epoch(1), i + 10) }),
             );
         }
@@ -671,7 +553,7 @@ mod tests {
         let msg = Message::Ack { zxid: Zxid::new(Epoch(3), 11) };
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            mesh[0].send(ServerId(2), TransportMsg::Zab(msg.clone()));
+            send(&mesh[0], ServerId(2), TransportMsg::Zab(msg.clone()));
             if wait_msg(&mesh[1], Duration::from_millis(300)).is_some() {
                 break;
             }
@@ -697,8 +579,8 @@ mod tests {
         drop(l2);
         let book: BTreeMap<ServerId, SocketAddr> =
             [(ServerId(1), a1), (ServerId(2), a2)].into_iter().collect();
-        let t = Transport::start(ServerId(1), a1, book).expect("start");
-        t.send(ServerId(2), TransportMsg::Zab(Message::Ack { zxid: Zxid::new(Epoch(1), 1) }));
+        let t = start(ServerId(1), a1, book);
+        send(&t, ServerId(2), TransportMsg::Zab(Message::Ack { zxid: Zxid::new(Epoch(1), 1) }));
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             if t.metrics().snapshot().counter("transport.connect_failures.2") >= 1 {
@@ -723,7 +605,7 @@ mod tests {
         };
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            mesh[1].send(ServerId(1), TransportMsg::Election(n));
+            send(&mesh[1], ServerId(1), TransportMsg::Election(n));
             if let Some(TransportEvent::Message { from, msg }) =
                 wait_msg(&mesh[0], Duration::from_millis(300))
             {
@@ -745,8 +627,11 @@ mod tests {
         // Wait until the link is up (first message observed), then burst.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            mesh[0]
-                .send(ServerId(2), TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }));
+            send(
+                &mesh[0],
+                ServerId(2),
+                TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }),
+            );
             if wait_msg(&mesh[1], Duration::from_millis(200)).is_some() {
                 break;
             }
@@ -754,7 +639,8 @@ mod tests {
         }
         for c in 1..=count {
             let txn = Txn::new(Zxid::new(Epoch(1), c), c.to_le_bytes().to_vec());
-            mesh[0].send(
+            send(
+                &mesh[0],
                 ServerId(2),
                 TransportMsg::Zab(Message::Propose { txn, commit_up_to: Zxid::ZERO }),
             );
@@ -790,12 +676,16 @@ mod tests {
     #[test]
     fn send_to_unknown_peer_is_dropped_silently_and_counted() {
         let mesh = mesh(1);
-        mesh[0].send(ServerId(99), TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }));
+        send(
+            &mesh[0],
+            ServerId(99),
+            TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }),
+        );
         assert!(wait_msg(&mesh[0], Duration::from_millis(100)).is_none());
         // The no-panic contract holds, but the drop is no longer silent
         // to operators.
         assert_eq!(mesh[0].metrics().snapshot().counter("transport.send_dropped"), 1);
-        mesh[0].broadcast_to(
+        mesh[0].queue(
             &[ServerId(99), ServerId(1)],
             TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }),
         );
@@ -812,7 +702,7 @@ mod tests {
         drop(l2);
         let book: BTreeMap<ServerId, SocketAddr> =
             [(ServerId(1), a1), (ServerId(2), a2)].into_iter().collect();
-        let t = Transport::start(ServerId(1), a1, book).expect("start");
+        let t = start(ServerId(1), a1, book);
         // Wait until the first dial has already failed (peer marked
         // unreachable), then send into the backoff window.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -823,7 +713,7 @@ mod tests {
             assert!(Instant::now() < deadline, "dial failure never counted");
             thread::sleep(Duration::from_millis(10));
         }
-        t.send(ServerId(2), TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }));
+        send(&t, ServerId(2), TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }));
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             if t.metrics().snapshot().counter("transport.send_dropped") >= 1 {
@@ -845,8 +735,10 @@ mod tests {
             // Exercise all states: some traffic in flight, some queued,
             // some meshes dropped before any connection establishes.
             if round % 2 == 0 {
+                let all: Vec<ServerId> = (1..=3).map(ServerId).collect();
                 for t in &m {
-                    t.broadcast(TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }));
+                    t.queue(&all, TransportMsg::Zab(Message::Ping { last_committed: Zxid::ZERO }));
+                    t.flush();
                 }
             }
             drop(m);

@@ -173,8 +173,8 @@ pub(crate) fn take_socket_error(stream: &TcpStream) -> io::Result<()> {
 }
 
 /// The write half of the loop's self-pipe, shared by every user thread
-/// that enqueues commands ([`crate::Transport::send`] and friends) plus
-/// the teardown path.
+/// that sends ([`crate::Transport::queue`] and [`crate::Transport::flush`])
+/// plus the teardown path.
 #[derive(Clone)]
 pub(crate) struct Waker {
     inner: Arc<WakerInner>,

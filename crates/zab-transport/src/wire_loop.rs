@@ -3,16 +3,17 @@
 //! stream, and any outbound socket that went `WouldBlock` — via
 //! nonblocking TCP and `poll(2)`.
 //!
-//! Sends do **not** pass through this thread. [`Outbound::offer`] runs on
-//! the caller: it takes the peer's write lock, appends the refcounted
-//! frame handle, and flushes straight into the socket. Only when the
+//! Sends do **not** pass through this thread. [`Outbound::queue`] and
+//! [`Outbound::flush_pending`] run on the caller: they take the peer's
+//! write lock, append the refcounted frame handle, and at the caller's
+//! batch boundary flush straight into the socket. Only when the
 //! socket can't take more (`WouldBlock`) does the caller poke the waker so
 //! the loop arms `POLLOUT` and drains the residue as readiness arrives.
 //!
 //! ```text
 //!  user threads                        the wire loop (1 thread)
 //!  ────────────                        ───────────────────────────
-//!  send()/broadcast()                  poll(waker, listener, conns…)
+//!  queue() … flush()                   poll(waker, listener, conns…)
 //!    │ lock peer ──► wbuf ──► socket     │
 //!    │    (inline vectored flush)        ├─ accept new inbound conns
 //!    └─ wake only on WouldBlock ────►    ├─ read frames → events_tx
@@ -88,18 +89,9 @@ struct OutInner {
     wbuf: WriteBuf,
 }
 
-/// What [`Outbound::offer`] concluded, from the caller's perspective.
-pub(crate) enum Offer {
-    /// Queued (and possibly already written in full).
-    Sent,
-    /// Queued, but the socket blocked or broke: wake the loop.
-    SentNeedsWake,
-    /// Peer disconnected — the frame was dropped, per the contract.
-    Dropped,
-}
-
 /// One peer's outbound half, shared between sender threads and the wire
-/// loop. Senders flush inline through [`Outbound::offer`]; the loop dials,
+/// loop. Senders cork through [`Outbound::queue`] and flush inline through
+/// [`Outbound::flush_pending`]; the loop dials,
 /// tears down, and drains whatever a sender left behind on `WouldBlock`.
 /// The instrument names are unchanged from the thread-per-peer transport,
 /// so dashboards and BENCH history stay comparable.
@@ -140,51 +132,27 @@ impl Outbound {
         }
     }
 
-    /// Queues a frame and flushes inline when the channel is up. Returns
-    /// [`Offer::Dropped`] — without queueing — while disconnected: the
-    /// protocol treats a down channel as broken and resynchronizes, so
-    /// buffering for a dead peer would only deliver stale traffic. Frames
-    /// queued while a dial is in flight are kept (they go out right
-    /// behind the handshake), matching the old transport, where the dial
-    /// happened synchronously under the first queued message.
-    pub(crate) fn offer(&self, frame: Frame) -> Offer {
-        let mut g = self.inner.lock();
-        match g.conn {
-            ConnState::Idle { .. } => Offer::Dropped,
-            ConnState::Connecting { .. } => {
-                g.wbuf.push_frame(frame);
-                self.queue_depth.set(g.wbuf.queued_frames() as i64);
-                Offer::Sent
-            }
-            ConnState::Up { .. } => {
-                g.wbuf.push_frame(frame);
-                if self.flush_locked(&mut g) {
-                    Offer::Sent
-                } else {
-                    // Flag before the caller wakes the loop, so the sweep
-                    // that the wake triggers is guaranteed to lock us.
-                    self.attention.store(true, Ordering::Release);
-                    Offer::SentNeedsWake
-                }
-            }
-        }
-    }
-
     /// Corks a frame: appends to the write buffer *without* flushing, so
     /// a batch of sends — every PROPOSE the leader emits while draining
     /// its event backlog, every ACK a follower owes for a burst — leaves
     /// in one vectored write when [`Outbound::flush_pending`] runs. This
     /// is what the old writer thread's channel backlog used to provide
     /// for free; here the batch boundary is explicit.
-    pub(crate) fn queue(&self, frame: Frame) -> Offer {
+    ///
+    /// Returns `false` — without queueing — while disconnected: the
+    /// protocol treats a down channel as broken and resynchronizes, so
+    /// buffering for a dead peer would only deliver stale traffic. Frames
+    /// queued while a dial is in flight are kept (they go out right
+    /// behind the handshake).
+    pub(crate) fn queue(&self, frame: Frame) -> bool {
         let mut g = self.inner.lock();
         if matches!(g.conn, ConnState::Idle { .. }) {
-            return Offer::Dropped;
+            return false;
         }
         g.wbuf.push_frame(frame);
         self.queue_depth.set(g.wbuf.queued_frames() as i64);
         self.has_pending.store(true, Ordering::Release);
-        Offer::Sent
+        true
     }
 
     /// Flushes whatever [`Outbound::queue`] corked since the last batch
