@@ -47,7 +47,7 @@ fn bench_frame(c: &mut Criterion) {
 fn bench_message_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("message");
     let msg = Message::Propose {
-        txn: Txn::new(Zxid::new(Epoch(3), 42), vec![9u8; 1024]),
+        txns: vec![Txn::new(Zxid::new(Epoch(3), 42), vec![9u8; 1024])],
         commit_up_to: Zxid::new(Epoch(3), 41),
     };
     g.throughput(Throughput::Bytes(1024));
@@ -143,7 +143,7 @@ fn bench_fanout(c: &mut Criterion) {
     let mut g = c.benchmark_group("fanout");
     for size in FANOUT_PAYLOADS {
         let msg = Message::Propose {
-            txn: Txn::new(Zxid::new(Epoch(1), 1), Bytes::from(vec![0xC3u8; size])),
+            txns: vec![Txn::new(Zxid::new(Epoch(1), 1), Bytes::from(vec![0xC3u8; size]))],
             commit_up_to: Zxid::ZERO,
         };
         for n in FANOUT_FOLLOWERS {
@@ -159,7 +159,7 @@ fn bench_fanout(c: &mut Criterion) {
     let mut rows = Vec::new();
     for size in FANOUT_PAYLOADS {
         let msg = Message::Propose {
-            txn: Txn::new(Zxid::new(Epoch(1), 1), Bytes::from(vec![0xC3u8; size])),
+            txns: vec![Txn::new(Zxid::new(Epoch(1), 1), Bytes::from(vec![0xC3u8; size]))],
             commit_up_to: Zxid::ZERO,
         };
         for n in FANOUT_FOLLOWERS {

@@ -72,12 +72,14 @@ pub enum Input {
         /// Current driver time.
         now_ms: u64,
     },
-    /// A client submitted an operation for broadcast. Only meaningful on
-    /// the primary; elsewhere it is rejected via
-    /// [`Action::ClientRequestRejected`].
-    ClientRequest {
-        /// Opaque incremental state change produced by the primary.
-        data: Bytes,
+    /// Clients submitted operations for broadcast, in submission order.
+    /// Drivers hand over every submit they drained in one sweep as one
+    /// input, so the leader can propose them as one batch; a lone submit
+    /// is a batch of one. Only meaningful on the primary; elsewhere every
+    /// request is rejected via [`Action::ClientRequestRejected`].
+    ClientRequests {
+        /// Opaque incremental state changes produced by the primary.
+        data: Vec<Bytes>,
     },
     /// Durability completion for `token` and everything before it.
     Persisted {
@@ -177,7 +179,10 @@ pub enum Action {
         /// The established epoch.
         epoch: Epoch,
     },
-    /// A client request was not accepted.
+    /// A client request was not accepted. From one
+    /// [`Input::ClientRequests`] batch either every request is rejected
+    /// (not primary) or a suffix of them (queue full), so a driver that
+    /// tracks its submits in a FIFO undoes each rejection from the back.
     ClientRequestRejected {
         /// The rejected payload, returned to the caller.
         data: Bytes,

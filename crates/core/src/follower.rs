@@ -49,7 +49,7 @@ enum Pending {
     AckEpoch,
     /// Sync stream + `currentEpoch` persisted → send `ACKNEWLEADER`.
     AckNewLeader,
-    /// A proposal persisted → ack it (cumulative).
+    /// A proposal batch persisted → ack its last zxid (cumulative).
     AckProposal(Zxid),
 }
 
@@ -238,8 +238,13 @@ impl Follower {
                 self.on_leader_message(msg, &mut out);
             }
             Input::Persisted { token } => self.on_persisted(token, &mut out),
-            Input::ClientRequest { data } => {
-                out.push(Action::ClientRequestRejected { data, reason: RejectReason::NotPrimary });
+            Input::ClientRequests { data } => {
+                for data in data {
+                    out.push(Action::ClientRequestRejected {
+                        data,
+                        reason: RejectReason::NotPrimary,
+                    });
+                }
             }
             Input::SnapshotReady { .. } => {
                 // Followers never request snapshots; ignore.
@@ -283,7 +288,7 @@ impl Follower {
             }
             Message::NewLeader { epoch } => self.on_new_leader(epoch, out),
             Message::UpToDate { commit_to } => self.on_up_to_date(commit_to, out),
-            Message::Propose { txn, commit_up_to } => self.on_propose(txn, commit_up_to, out),
+            Message::Propose { txns, commit_up_to } => self.on_propose(txns, commit_up_to, out),
             Message::Commit { zxid } => self.on_commit(zxid, out),
             Message::Forward { inner } => self.on_forward(inner, true, out),
             Message::RelayAssign { members } => self.on_relay_assign(members),
@@ -528,36 +533,64 @@ impl Follower {
         }
     }
 
-    fn on_propose(&mut self, txn: Txn, commit_up_to: Zxid, out: &mut Vec<Action>) {
+    fn on_propose(&mut self, txns: Vec<Txn>, commit_up_to: Zxid, out: &mut Vec<Action>) {
         if self.phase != Phase::Broadcasting {
             self.abdicate("PROPOSE outside broadcast phase", out);
             return;
         }
-        if txn.zxid.epoch() != self.current_epoch {
-            self.abdicate("PROPOSE from wrong epoch", out);
-            return;
+        match self.new_proposals(&txns) {
+            Ok(start) => self.accept_proposals(txns, start, commit_up_to, out),
+            Err(reason) => self.abdicate(reason, out),
         }
-        if txn.zxid <= self.history.last_zxid() {
-            // Duplicate of a transaction already accepted — the leader
-            // replays from its (possibly stale) view of our ack point
-            // when it switches us between direct and relayed paths, so
-            // overlap is expected. Skip the append and ack (the original
-            // ack is in flight or already arrived), but the piggybacked
-            // watermark still carries fresh information.
-            self.advance_watermark(commit_up_to, out);
-            return;
+    }
+
+    /// Checks a whole `PROPOSE` batch before any of it is appended: one
+    /// epoch (ours), consecutive zxids, and a first new transaction that
+    /// immediately follows our accepted history. Returns the index of
+    /// that first new transaction.
+    ///
+    /// Transactions we already hold can only form a prefix (the batch is
+    /// consecutive): the leader replays from its possibly stale view of
+    /// our ack point when it switches us between direct and relayed
+    /// paths, so overlap is expected and skipped.
+    fn new_proposals(&self, txns: &[Txn]) -> Result<usize, &'static str> {
+        if txns.iter().any(|t| t.zxid.epoch() != self.current_epoch) {
+            return Err("PROPOSE from wrong epoch");
         }
-        if !txn.zxid.follows(self.history.last_zxid()) {
-            self.abdicate("gap in proposal stream", out);
-            return;
+        if txns.windows(2).any(|w| !w[1].zxid.follows(w[0].zxid)) {
+            return Err("gap in proposal stream");
         }
-        self.history.append(txn.clone());
-        let token = self.token(Pending::AckProposal(txn.zxid));
-        out.push(Action::Persist { token, req: PersistRequest::AppendTxns(vec![txn]) });
+        let last = self.history.last_zxid();
+        let start = txns.partition_point(|t| t.zxid <= last);
+        match txns.get(start) {
+            Some(t) if !t.zxid.follows(last) => Err("gap in proposal stream"),
+            _ => Ok(start),
+        }
+    }
+
+    /// Appends a checked batch's new suffix `txns[start..]` under one
+    /// persist token (its completion acks the batch's last zxid), then
+    /// applies the piggybacked watermark.
+    fn accept_proposals(
+        &mut self,
+        mut txns: Vec<Txn>,
+        start: usize,
+        commit_up_to: Zxid,
+        out: &mut Vec<Action>,
+    ) {
+        txns.drain(..start);
+        if let Some(last) = txns.last().map(|t| t.zxid) {
+            for txn in &txns {
+                self.history.append(txn.clone());
+            }
+            let token = self.token(Pending::AckProposal(last));
+            out.push(Action::Persist { token, req: PersistRequest::AppendTxns(txns) });
+        }
         // The piggybacked watermark replaces the separate COMMIT frame on
-        // a busy pipeline. Only applied once the proposal itself passed
-        // the epoch and FIFO-gap checks above, so a frame from a deposed
-        // leader can never move the watermark.
+        // a busy pipeline; a fully duplicate batch still carries fresh
+        // information here. Only applied once the batch passed the epoch
+        // and FIFO-gap checks, so a frame from a deposed leader can never
+        // move the watermark.
         self.advance_watermark(commit_up_to, out);
     }
 
@@ -623,8 +656,13 @@ impl Follower {
             return; // malformed forwarded frame: drop, never abdicate
         };
         match msg {
-            Message::Propose { txn, commit_up_to } => {
-                self.on_relayed_propose(txn, commit_up_to, out)
+            // `on_propose` with every fatal branch softened to a silent
+            // drop. Acks still go directly to the leader, keeping the
+            // quorum path star-shaped.
+            Message::Propose { txns, commit_up_to } => {
+                if let Ok(start) = self.new_proposals(&txns) {
+                    self.accept_proposals(txns, start, commit_up_to, out);
+                }
             }
             // A relayed COMMIT is a plain watermark; the cap inside
             // `advance_watermark` already makes it safe at any value.
@@ -633,27 +671,6 @@ impl Follower {
             // else wrapped in a FORWARD is noise.
             _ => {}
         }
-    }
-
-    /// [`on_propose`](Self::on_propose) with every fatal branch softened
-    /// to a silent drop — see [`on_forward`](Self::on_forward) for why
-    /// relayed traffic must never abdicate. Acks still go directly to the
-    /// leader, keeping the quorum path star-shaped.
-    fn on_relayed_propose(&mut self, txn: Txn, commit_up_to: Zxid, out: &mut Vec<Action>) {
-        if txn.zxid.epoch() != self.current_epoch {
-            return;
-        }
-        if txn.zxid <= self.history.last_zxid() {
-            self.advance_watermark(commit_up_to, out);
-            return;
-        }
-        if !txn.zxid.follows(self.history.last_zxid()) {
-            return;
-        }
-        self.history.append(txn.clone());
-        let token = self.token(Pending::AckProposal(txn.zxid));
-        out.push(Action::Persist { token, req: PersistRequest::AppendTxns(vec![txn]) });
-        self.advance_watermark(commit_up_to, out);
     }
 
     /// The leader (re)assigned our relay group. Sent on the leader's own
@@ -801,7 +818,7 @@ mod tests {
     fn proposal_persist_then_ack_then_commit_delivers() {
         let mut f = activated_follower();
         let t = txn(1, 1);
-        let a = f.handle(msg(Message::Propose { txn: t.clone(), commit_up_to: Zxid::ZERO }));
+        let a = f.handle(msg(Message::Propose { txns: vec![t.clone()], commit_up_to: Zxid::ZERO }));
         assert!(matches!(a[0], Action::Persist { .. }));
         let a2 = complete_persists(&mut f, &a);
         assert_eq!(sends(&a2), vec![&Message::Ack { zxid: t.zxid }]);
@@ -815,7 +832,7 @@ mod tests {
         let mut persists = Vec::new();
         for c in 1..=3 {
             persists.extend(
-                f.handle(msg(Message::Propose { txn: txn(1, c), commit_up_to: Zxid::ZERO })),
+                f.handle(msg(Message::Propose { txns: vec![txn(1, c)], commit_up_to: Zxid::ZERO })),
             );
         }
         // Group commit: driver acks only the last token.
@@ -834,14 +851,14 @@ mod tests {
     #[test]
     fn gap_in_proposal_stream_is_fatal() {
         let mut f = activated_follower();
-        let a = f.handle(msg(Message::Propose { txn: txn(1, 2), commit_up_to: Zxid::ZERO }));
+        let a = f.handle(msg(Message::Propose { txns: vec![txn(1, 2)], commit_up_to: Zxid::ZERO }));
         assert!(a.iter().any(|x| matches!(x, Action::GoToElection { .. })));
     }
 
     #[test]
     fn proposal_from_wrong_epoch_is_fatal() {
         let mut f = activated_follower();
-        let a = f.handle(msg(Message::Propose { txn: txn(9, 1), commit_up_to: Zxid::ZERO }));
+        let a = f.handle(msg(Message::Propose { txns: vec![txn(9, 1)], commit_up_to: Zxid::ZERO }));
         assert!(a.iter().any(|x| matches!(x, Action::GoToElection { .. })));
     }
 
@@ -849,11 +866,11 @@ mod tests {
     fn duplicate_propose_skips_append_but_advances_watermark() {
         let mut f = activated_follower();
         let t = txn(1, 1);
-        let a = f.handle(msg(Message::Propose { txn: t.clone(), commit_up_to: Zxid::ZERO }));
+        let a = f.handle(msg(Message::Propose { txns: vec![t.clone()], commit_up_to: Zxid::ZERO }));
         complete_persists(&mut f, &a);
         // A path-switch replay re-sends the same zxid, now carrying a
         // fresher watermark: no second append/ack, but it must deliver.
-        let a = f.handle(msg(Message::Propose { txn: t.clone(), commit_up_to: t.zxid }));
+        let a = f.handle(msg(Message::Propose { txns: vec![t.clone()], commit_up_to: t.zxid }));
         assert!(!a.iter().any(|x| matches!(x, Action::Persist { .. })));
         assert!(!a.iter().any(|x| matches!(x, Action::GoToElection { .. })));
         assert!(a.iter().any(|x| matches!(x, Action::Deliver { txn } if txn.zxid == t.zxid)));
@@ -866,11 +883,63 @@ mod tests {
         Message::Forward { inner: m.encode().into() }
     }
 
+    /// Batches a follower must refuse whole: an internal gap, and a
+    /// foreign epoch behind a valid head.
+    fn bad_batches() -> Vec<Vec<Txn>> {
+        vec![vec![txn(1, 1), txn(1, 2), txn(1, 4)], vec![txn(1, 1), txn(2, 1)]]
+    }
+
+    #[test]
+    fn bad_batch_abdicates_on_direct_path_with_nothing_appended() {
+        for txns in bad_batches() {
+            let mut f = activated_follower();
+            let a = f.handle(msg(Message::Propose { txns, commit_up_to: Zxid::ZERO }));
+            assert!(a.iter().any(|x| matches!(x, Action::GoToElection { .. })));
+            assert!(!a.iter().any(|x| matches!(x, Action::Persist { .. })));
+            assert_eq!(f.last_zxid(), Zxid::ZERO, "the valid head must not be appended");
+        }
+    }
+
+    #[test]
+    fn bad_batch_is_dropped_silently_on_relayed_path() {
+        for txns in bad_batches() {
+            let mut f = activated_follower();
+            let p = fwd(&Message::Propose { txns, commit_up_to: Zxid::ZERO });
+            let a = f.handle(Input::Message { from: ServerId(3), msg: p });
+            assert!(a.is_empty(), "a bad relayed batch is a silent drop: {a:?}");
+            assert_eq!(f.status(), FollowerStatus::Active);
+            assert_eq!(f.last_zxid(), Zxid::ZERO);
+        }
+    }
+
+    #[test]
+    fn overlapping_batch_appends_only_new_suffix_under_one_token() {
+        let mut f = activated_follower();
+        let held = vec![txn(1, 1), txn(1, 2)];
+        let a = f.handle(msg(Message::Propose { txns: held, commit_up_to: Zxid::ZERO }));
+        complete_persists(&mut f, &a);
+        // A replay from a stale ack point overlaps the held prefix.
+        let replay = (1..=5).map(|c| txn(1, c)).collect();
+        let a = f.handle(msg(Message::Propose { txns: replay, commit_up_to: Zxid::ZERO }));
+        let appends: Vec<&Vec<Txn>> = a
+            .iter()
+            .filter_map(|x| match x {
+                Action::Persist { req: PersistRequest::AppendTxns(txns), .. } => Some(txns),
+                Action::Persist { .. } => panic!("unexpected persist {x:?}"),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(appends, vec![&(3..=5).map(|c| txn(1, c)).collect::<Vec<_>>()]);
+        assert_eq!(f.last_zxid(), Zxid::new(Epoch(1), 5));
+        let a = complete_persists(&mut f, &a);
+        assert_eq!(sends(&a), vec![&Message::Ack { zxid: Zxid::new(Epoch(1), 5) }]);
+    }
+
     #[test]
     fn forwarded_propose_delivers_and_acks_directly_to_leader() {
         let mut f = activated_follower();
         let t = txn(1, 1);
-        let p = Message::Propose { txn: t.clone(), commit_up_to: Zxid::ZERO };
+        let p = Message::Propose { txns: vec![t.clone()], commit_up_to: Zxid::ZERO };
         // The frame arrives from a relay peer, not the leader.
         let a = f.handle(Input::Message { from: ServerId(3), msg: fwd(&p) });
         assert!(matches!(a[0], Action::Persist { .. }));
@@ -886,7 +955,7 @@ mod tests {
         let a = f.handle(msg(Message::RelayAssign { members: vec![ServerId(4), ServerId(5)] }));
         assert!(a.is_empty());
         assert_eq!(f.relay_group(), &[ServerId(4), ServerId(5)]);
-        let p = Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO };
+        let p = Message::Propose { txns: vec![txn(1, 1)], commit_up_to: Zxid::ZERO };
         let wrapped = fwd(&p);
         let a = f.handle(msg(wrapped.clone()));
         // The same bytes go out to the group before local processing.
@@ -908,7 +977,7 @@ mod tests {
         let mut f = activated_follower();
         let a = f.handle(msg(Message::RelayAssign { members: vec![ServerId(4)] }));
         assert!(a.is_empty());
-        let p = Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO };
+        let p = Message::Propose { txns: vec![txn(1, 1)], commit_up_to: Zxid::ZERO };
         // Stale cross-assignment: a frame from another relay. Consumed,
         // never re-forwarded — forwarding depth is one hop past the leader.
         let a = f.handle(Input::Message { from: ServerId(3), msg: fwd(&p) });
@@ -921,7 +990,7 @@ mod tests {
         let mut f = activated_follower();
         f.handle(msg(Message::RelayAssign { members: vec![ServerId(4)] }));
         f.handle(msg(Message::RelayAssign { members: vec![] }));
-        let p = Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO };
+        let p = Message::Propose { txns: vec![txn(1, 1)], commit_up_to: Zxid::ZERO };
         let a = f.handle(msg(fwd(&p)));
         assert!(!a.iter().any(|x| matches!(x, Action::Broadcast { .. })));
     }
@@ -933,9 +1002,9 @@ mod tests {
             // Not even a decodable message.
             Message::Forward { inner: Bytes::from_static(&[0xff, 0x01, 0x02]) },
             // Wrong epoch: fatal on the direct path, a drop here.
-            fwd(&Message::Propose { txn: txn(9, 1), commit_up_to: Zxid::ZERO }),
+            fwd(&Message::Propose { txns: vec![txn(9, 1)], commit_up_to: Zxid::ZERO }),
             // Gap: fatal on the direct path, a drop here.
-            fwd(&Message::Propose { txn: txn(1, 7), commit_up_to: Zxid::ZERO }),
+            fwd(&Message::Propose { txns: vec![txn(1, 7)], commit_up_to: Zxid::ZERO }),
             // Non-broadcast traffic has no business in a FORWARD.
             fwd(&Message::Ping { last_committed: Zxid::ZERO }),
             fwd(&Message::NewEpoch { epoch: Epoch(9) }),
@@ -952,9 +1021,9 @@ mod tests {
     fn forwarded_duplicate_advances_watermark_without_reappend() {
         let mut f = activated_follower();
         let t = txn(1, 1);
-        let a = f.handle(msg(Message::Propose { txn: t.clone(), commit_up_to: Zxid::ZERO }));
+        let a = f.handle(msg(Message::Propose { txns: vec![t.clone()], commit_up_to: Zxid::ZERO }));
         complete_persists(&mut f, &a);
-        let dup = fwd(&Message::Propose { txn: t.clone(), commit_up_to: t.zxid });
+        let dup = fwd(&Message::Propose { txns: vec![t.clone()], commit_up_to: t.zxid });
         let a = f.handle(Input::Message { from: ServerId(3), msg: dup });
         assert!(!a.iter().any(|x| matches!(x, Action::Persist { .. })));
         assert!(a.iter().any(|x| matches!(x, Action::Deliver { txn } if txn.zxid == t.zxid)));
@@ -964,7 +1033,7 @@ mod tests {
     fn forwarded_commit_is_a_clamped_watermark() {
         let mut f = activated_follower();
         let t = txn(1, 1);
-        let a = f.handle(msg(Message::Propose { txn: t.clone(), commit_up_to: Zxid::ZERO }));
+        let a = f.handle(msg(Message::Propose { txns: vec![t.clone()], commit_up_to: Zxid::ZERO }));
         complete_persists(&mut f, &a);
         // Beyond accepted history: clamped, not fatal (direct COMMIT would
         // abdicate here).
@@ -983,7 +1052,7 @@ mod tests {
         assert!(!a.iter().any(|x| matches!(x, Action::GoToElection { .. })));
         assert!(f.relay_group().is_empty());
         // Forwarded frames before activation are dropped too.
-        let p = Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO };
+        let p = Message::Propose { txns: vec![txn(1, 1)], commit_up_to: Zxid::ZERO };
         let a = f.handle(Input::Message { from: ServerId(3), msg: fwd(&p) });
         assert!(a.is_empty());
     }
@@ -992,7 +1061,8 @@ mod tests {
     fn commit_watermark_delivers_in_order() {
         let mut f = activated_follower();
         for c in 1..=3 {
-            let a = f.handle(msg(Message::Propose { txn: txn(1, c), commit_up_to: Zxid::ZERO }));
+            let a =
+                f.handle(msg(Message::Propose { txns: vec![txn(1, c)], commit_up_to: Zxid::ZERO }));
             complete_persists(&mut f, &a);
         }
         let a = f.handle(msg(Message::Commit { zxid: Zxid::new(Epoch(1), 3) }));
@@ -1023,7 +1093,7 @@ mod tests {
     #[test]
     fn ping_keeps_the_incarnation_alive_and_advances_commits() {
         let mut f = activated_follower();
-        let a = f.handle(msg(Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO }));
+        let a = f.handle(msg(Message::Propose { txns: vec![txn(1, 1)], commit_up_to: Zxid::ZERO }));
         complete_persists(&mut f, &a);
         // Ping at t=300 with an advanced watermark.
         f.handle(Input::Tick { now_ms: 300 });
@@ -1054,7 +1124,7 @@ mod tests {
         let mut f = activated_follower();
         let a = f.handle(Input::Message {
             from: ServerId(9),
-            msg: Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO },
+            msg: Message::Propose { txns: vec![txn(1, 1)], commit_up_to: Zxid::ZERO },
         });
         assert!(a.is_empty());
         assert_eq!(f.status(), FollowerStatus::Active);
@@ -1063,7 +1133,7 @@ mod tests {
     #[test]
     fn client_requests_rejected_not_primary() {
         let mut f = activated_follower();
-        let a = f.handle(Input::ClientRequest { data: Bytes::from_static(b"x") });
+        let a = f.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"x")] });
         assert!(matches!(
             a[0],
             Action::ClientRequestRejected { reason: RejectReason::NotPrimary, .. }
@@ -1167,7 +1237,7 @@ mod tests {
     fn defunct_follower_ignores_everything() {
         let mut f = activated_follower();
         f.handle(Input::PeerDisconnected { peer: LEADER });
-        let a = f.handle(msg(Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO }));
+        let a = f.handle(msg(Message::Propose { txns: vec![txn(1, 1)], commit_up_to: Zxid::ZERO }));
         assert!(a.is_empty());
     }
 
@@ -1211,7 +1281,7 @@ mod tests {
     #[test]
     fn commit_is_idempotent() {
         let mut f = activated_follower();
-        let a = f.handle(msg(Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO }));
+        let a = f.handle(msg(Message::Propose { txns: vec![txn(1, 1)], commit_up_to: Zxid::ZERO }));
         complete_persists(&mut f, &a);
         let first = f.handle(msg(Message::Commit { zxid: Zxid::new(Epoch(1), 1) }));
         assert!(first.iter().any(|x| matches!(x, Action::Deliver { .. })));
@@ -1232,12 +1302,14 @@ mod tests {
     #[test]
     fn piggybacked_watermark_delivers_prefix_without_commit_frame() {
         let mut f = activated_follower();
-        let a = f.handle(msg(Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO }));
+        let a = f.handle(msg(Message::Propose { txns: vec![txn(1, 1)], commit_up_to: Zxid::ZERO }));
         complete_persists(&mut f, &a);
         // The next proposal carries the commit watermark for (1,1): the
         // prefix delivers with no standalone COMMIT frame ever arriving.
-        let a = f
-            .handle(msg(Message::Propose { txn: txn(1, 2), commit_up_to: Zxid::new(Epoch(1), 1) }));
+        let a = f.handle(msg(Message::Propose {
+            txns: vec![txn(1, 2)],
+            commit_up_to: Zxid::new(Epoch(1), 1),
+        }));
         assert_eq!(delivered_zxids(&a), vec![Zxid::new(Epoch(1), 1)]);
         assert_eq!(f.last_committed(), Zxid::new(Epoch(1), 1));
     }
@@ -1249,10 +1321,12 @@ mod tests {
         // the end of local history instead of faulting — unlike an
         // explicit COMMIT, which is fatal beyond history.
         let mut f = activated_follower();
-        let a = f.handle(msg(Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO }));
+        let a = f.handle(msg(Message::Propose { txns: vec![txn(1, 1)], commit_up_to: Zxid::ZERO }));
         complete_persists(&mut f, &a);
-        let a = f
-            .handle(msg(Message::Propose { txn: txn(1, 2), commit_up_to: Zxid::new(Epoch(1), 5) }));
+        let a = f.handle(msg(Message::Propose {
+            txns: vec![txn(1, 2)],
+            commit_up_to: Zxid::new(Epoch(1), 5),
+        }));
         assert_eq!(delivered_zxids(&a), vec![Zxid::new(Epoch(1), 1), Zxid::new(Epoch(1), 2)]);
         assert_eq!(f.status(), FollowerStatus::Active);
         assert_eq!(f.last_committed(), Zxid::new(Epoch(1), 2));
@@ -1280,13 +1354,17 @@ mod tests {
         assert_eq!(f.last_committed(), Zxid::ZERO);
         // First epoch-2 proposal piggybacks the epoch-1 watermark: the
         // old-epoch suffix commits, the new proposal itself does not.
-        let a = f
-            .handle(msg(Message::Propose { txn: txn(2, 1), commit_up_to: Zxid::new(Epoch(1), 2) }));
+        let a = f.handle(msg(Message::Propose {
+            txns: vec![txn(2, 1)],
+            commit_up_to: Zxid::new(Epoch(1), 2),
+        }));
         assert_eq!(delivered_zxids(&a), vec![Zxid::new(Epoch(1), 1), Zxid::new(Epoch(1), 2)]);
         assert_eq!(f.last_committed(), Zxid::new(Epoch(1), 2));
         // The epoch-2 entry commits only once an epoch-2 watermark covers it.
-        let a = f
-            .handle(msg(Message::Propose { txn: txn(2, 2), commit_up_to: Zxid::new(Epoch(2), 1) }));
+        let a = f.handle(msg(Message::Propose {
+            txns: vec![txn(2, 2)],
+            commit_up_to: Zxid::new(Epoch(2), 1),
+        }));
         assert_eq!(delivered_zxids(&a), vec![Zxid::new(Epoch(2), 1)]);
     }
 
@@ -1296,10 +1374,12 @@ mod tests {
         // watermark either: the deposed leader computed it from a history
         // this follower has moved past.
         let mut f = activated_follower();
-        let a = f.handle(msg(Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::ZERO }));
+        let a = f.handle(msg(Message::Propose { txns: vec![txn(1, 1)], commit_up_to: Zxid::ZERO }));
         complete_persists(&mut f, &a);
-        let a = f
-            .handle(msg(Message::Propose { txn: txn(9, 1), commit_up_to: Zxid::new(Epoch(1), 1) }));
+        let a = f.handle(msg(Message::Propose {
+            txns: vec![txn(9, 1)],
+            commit_up_to: Zxid::new(Epoch(1), 1),
+        }));
         assert!(delivered_zxids(&a).is_empty());
         assert_eq!(f.status(), FollowerStatus::Defunct);
         assert_eq!(f.last_committed(), Zxid::ZERO);

@@ -36,17 +36,19 @@ use bytes::Bytes;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use zab_trace::{Stage, Tracer};
 
-/// Approximate payload-byte budget for a single sync-stream message.
+/// Approximate payload-byte budget for one multi-transaction frame: a
+/// sync-stream message (`SyncDiff`/`SyncTrunc`/`SyncSnap`) or a
+/// `PROPOSE` batch.
 ///
 /// A follower that has fallen far behind would otherwise receive its
-/// entire missing history as one `SyncDiff`/`SyncTrunc`/`SyncSnap`,
-/// whose encoded size grows without bound and can exceed any transport
-/// frame limit. The leader instead splits the transaction tail into
-/// chunks of at most this many payload bytes and streams them as
-/// consecutive sync messages; the follower's sync path appends each
-/// chunk in arrival order until `NEWLEADER` closes the stream, so the
+/// entire missing history as one sync message, and a deep request queue
+/// would leave as one PROPOSE; either frame's encoded size would grow
+/// without bound and could exceed any transport frame limit. The leader
+/// instead splits a transaction run into chunks of at most this many
+/// payload bytes (see [`txn_chunks`]) and sends them as consecutive
+/// frames; the follower appends each chunk in arrival order, so the
 /// split is invisible to the protocol.
-const SYNC_CHUNK_BYTES: usize = 1 << 20;
+const FRAME_TXN_BYTES: usize = 1 << 20;
 
 /// Client requests queued at the leader beyond the outstanding window;
 /// requests past this many are rejected with back-pressure
@@ -57,19 +59,21 @@ const SYNC_CHUNK_BYTES: usize = 1 << 20;
 const MAX_QUEUED_REQUESTS: usize = 2_000;
 
 /// Per-transaction overhead allowance (zxid + framing) when budgeting
-/// sync chunks, so streams of tiny transactions still chunk sanely.
-const SYNC_TXN_OVERHEAD: usize = 64;
+/// frame chunks, so runs of tiny transactions still chunk sanely.
+const TXN_OVERHEAD: usize = 64;
 
-/// Splits a sync transaction tail into bounded chunks. Always returns at
-/// least one (possibly empty) chunk, because the first chunk rides inside
-/// the plan's opening message (`SyncDiff`/`SyncTrunc`/`SyncSnap`).
-fn sync_chunks(txns: Vec<Txn>) -> Vec<Vec<Txn>> {
+/// Splits a transaction run into chunks of at most [`FRAME_TXN_BYTES`]
+/// budgeted bytes, in order; a single transaction over the budget ships
+/// alone. Always returns at least one (possibly empty) chunk, because
+/// the first sync chunk rides inside the plan's opening message
+/// (`SyncDiff`/`SyncTrunc`/`SyncSnap`).
+fn txn_chunks(txns: Vec<Txn>) -> Vec<Vec<Txn>> {
     let mut chunks: Vec<Vec<Txn>> = vec![Vec::new()];
     let mut budget = 0usize;
     for txn in txns {
-        let cost = txn.data.len() + SYNC_TXN_OVERHEAD;
+        let cost = txn.data.len() + TXN_OVERHEAD;
         let current = chunks.last_mut().expect("chunks is never empty");
-        if budget + cost > SYNC_CHUNK_BYTES && !current.is_empty() {
+        if budget + cost > FRAME_TXN_BYTES && !current.is_empty() {
             chunks.push(vec![txn]);
             budget = cost;
         } else {
@@ -83,14 +87,14 @@ fn sync_chunks(txns: Vec<Txn>) -> Vec<Vec<Txn>> {
 /// Budgeted payload bytes of one sync chunk (what the token bucket and
 /// the `core.sync_bytes_sent` counter account).
 fn chunk_cost(chunk: &[Txn]) -> u64 {
-    chunk.iter().map(|t| (t.data.len() + SYNC_TXN_OVERHEAD) as u64).sum()
+    chunk.iter().map(|t| (t.data.len() + TXN_OVERHEAD) as u64).sum()
 }
 
 /// Token-bucket capacity for paced sync shipping: at least one second of
 /// budget, and never smaller than a couple of maximal chunks so a single
 /// oversized transaction can always ship once the bucket fills.
 fn config_sync_burst(config: &ClusterConfig) -> u64 {
-    config.sync_rate_bytes_per_sec.max((2 * SYNC_CHUNK_BYTES) as u64)
+    config.sync_rate_bytes_per_sec.max((2 * FRAME_TXN_BYTES) as u64)
 }
 
 /// Live progress of a peer's catch-up sync, for observability
@@ -294,7 +298,8 @@ enum Pending {
     SendNewEpoch,
     /// `currentEpoch = e'` persisted → the leader's own `NEWLEADER` ack.
     EstablishSelf,
-    /// A proposal appended durably → the leader's own proposal ack.
+    /// A proposal batch appended durably → the leader's own ack of its
+    /// last zxid.
     SelfAck(Zxid),
 }
 
@@ -352,10 +357,11 @@ pub struct Leader {
     /// Flight recorder handle (disabled by default; see
     /// [`Leader::set_tracer`]).
     tracer: Tracer,
-    /// Propose time (driver ms) per in-flight own-epoch proposal, for the
-    /// quorum-ack latency histogram. Bounded by the outstanding window and
-    /// discarded with the incarnation.
-    propose_times: BTreeMap<Zxid, u64>,
+    /// `(last zxid, propose time in driver ms)` per in-flight own-epoch
+    /// PROPOSE batch, in zxid order, for the quorum-ack latency histogram
+    /// (one sample per transaction, at its batch's propose time). Bounded
+    /// by the outstanding window and discarded with the incarnation.
+    propose_times: VecDeque<(Zxid, u64)>,
     /// Current relay dissemination plan (empty under [`Topology::Star`]).
     relay: RelayPlan,
     /// Set when readiness or membership changed; the plan is rebuilt at
@@ -413,7 +419,7 @@ impl Leader {
             pending: BTreeMap::new(),
             metrics: CoreMetrics::standalone(),
             tracer: Tracer::disabled(),
-            propose_times: BTreeMap::new(),
+            propose_times: VecDeque::new(),
             relay: RelayPlan::default(),
             topology_dirty: false,
         };
@@ -525,7 +531,7 @@ impl Leader {
             Input::Tick { now_ms } => self.on_tick(now_ms, &mut out),
             Input::Message { from, msg } => self.on_message(from, msg, &mut out),
             Input::Persisted { token } => self.on_persisted(token, &mut out),
-            Input::ClientRequest { data } => self.on_client_request(data, &mut out),
+            Input::ClientRequests { data } => self.on_client_requests(data, &mut out),
             Input::SnapshotReady { snapshot, zxid } => {
                 self.on_snapshot_ready(snapshot, zxid, &mut out)
             }
@@ -861,14 +867,14 @@ impl Leader {
             }
             SyncPlan::Diff { txns } => {
                 self.metrics.diff_syncs.inc();
-                let mut chunks: VecDeque<Vec<Txn>> = sync_chunks(txns).into();
+                let mut chunks: VecDeque<Vec<Txn>> = txn_chunks(txns).into();
                 let first = chunks.pop_front().expect("at least one chunk");
                 self.charge_sync(chunk_cost(&first));
                 self.ship_or_pace(from, Message::SyncDiff { txns: first }, chunks, out);
             }
             SyncPlan::Trunc { truncate_to, txns } => {
                 self.metrics.diff_syncs.inc();
-                let mut chunks: VecDeque<Vec<Txn>> = sync_chunks(txns).into();
+                let mut chunks: VecDeque<Vec<Txn>> = txn_chunks(txns).into();
                 let first = chunks.pop_front().expect("at least one chunk");
                 self.charge_sync(chunk_cost(&first));
                 self.ship_or_pace(
@@ -886,7 +892,7 @@ impl Leader {
     fn serve_snapshot(&mut self, to: ServerId, snapshot: Bytes, zxid: Zxid, out: &mut Vec<Action>) {
         self.metrics.snap_syncs.inc();
         let mut chunks: VecDeque<Vec<Txn>> =
-            sync_chunks(self.history.txns_after(zxid).to_vec()).into();
+            txn_chunks(self.history.txns_after(zxid).to_vec()).into();
         let first = chunks.pop_front().expect("at least one chunk");
         self.charge_sync(snapshot.len() as u64 + chunk_cost(&first));
         self.ship_or_pace(
@@ -1025,8 +1031,8 @@ impl Leader {
         if session.remaining.is_empty() {
             let tail = self.history.txns_after(*plan_end);
             let gap = chunk_cost(tail);
-            if gap > SYNC_CHUNK_BYTES as u64 {
-                session.remaining = sync_chunks(tail.to_vec()).into();
+            if gap > FRAME_TXN_BYTES as u64 {
+                session.remaining = txn_chunks(tail.to_vec()).into();
                 // Convergence guard: a gap that keeps growing across
                 // extensions means the configured rate sits below the
                 // live append byte rate — no amount of throttled chasing
@@ -1044,7 +1050,7 @@ impl Leader {
             } else {
                 if let Some(last) = tail.last() {
                     end = last.zxid;
-                    for txns in sync_chunks(tail.to_vec()) {
+                    for txns in txn_chunks(tail.to_vec()) {
                         if txns.is_empty() {
                             continue;
                         }
@@ -1307,41 +1313,57 @@ impl Leader {
         self.try_commit(out);
     }
 
-    fn on_client_request(&mut self, data: Bytes, out: &mut Vec<Action>) {
+    /// Queues a batch of client requests and pumps it. Whatever the
+    /// window and the queue cannot hold is the batch's tail: it is shed
+    /// with back-pressure, in submission order.
+    fn on_client_requests(&mut self, data: Vec<Bytes>, out: &mut Vec<Action>) {
         if self.phase != Phase::Broadcasting {
-            out.push(Action::ClientRequestRejected { data, reason: RejectReason::NotPrimary });
+            for data in data {
+                out.push(Action::ClientRequestRejected { data, reason: RejectReason::NotPrimary });
+            }
             return;
         }
-        if self.pending_requests.len() >= MAX_QUEUED_REQUESTS {
-            self.metrics.requests_rejected.inc();
-            out.push(Action::ClientRequestRejected { data, reason: RejectReason::Overloaded });
-            return;
-        }
-        self.pending_requests.push_back(data);
+        self.pending_requests.extend(data);
         self.pump_proposals(out);
+        // The queue held at most the bound before this batch, so the
+        // overflow is a suffix of the batch.
+        if self.pending_requests.len() > MAX_QUEUED_REQUESTS {
+            for data in self.pending_requests.split_off(MAX_QUEUED_REQUESTS) {
+                self.metrics.requests_rejected.inc();
+                out.push(Action::ClientRequestRejected { data, reason: RejectReason::Overloaded });
+            }
+        }
     }
 
-    /// Proposes queued requests while the outstanding window allows.
-    /// Returns how many proposals went out; each carries the current
-    /// commit watermark, so a caller that just advanced it can skip the
-    /// standalone `COMMIT` frame (see [`Leader::try_commit`]).
+    /// Proposes as many queued requests as the outstanding window allows,
+    /// as one batch: one `PROPOSE` frame, one log append and one persist
+    /// token per [`FRAME_TXN_BYTES`] chunk, each transaction with its own
+    /// zxid. Returns how many proposals went out; every frame carries the
+    /// current commit watermark, so a caller that just advanced it can
+    /// skip the standalone `COMMIT` frame (see [`Leader::try_commit`]).
     fn pump_proposals(&mut self, out: &mut Vec<Action>) -> usize {
-        let commit_up_to = self.history.last_committed();
-        let mut pumped = 0;
-        while self.outstanding < self.config.max_outstanding {
-            let Some(data) = self.pending_requests.pop_front() else { break };
-            self.counter = self.counter.checked_add(1).expect("zxid counter exhausted");
-            let zxid = Zxid::new(self.epoch, self.counter);
-            let txn = Txn { zxid, data };
-            self.history.append(txn.clone());
-            self.outstanding += 1;
-            pumped += 1;
-            self.metrics.proposals_proposed.inc();
-            self.tracer.instant(Stage::ProposeEnqueue, zxid.0, 0);
-            self.propose_times.insert(zxid, self.now_ms);
-            let token = self.token(Pending::SelfAck(zxid));
-            out.push(Action::Persist { token, req: PersistRequest::AppendTxns(vec![txn.clone()]) });
-            self.broadcast(Message::Propose { txn, commit_up_to }, out);
+        let room = self.config.max_outstanding.saturating_sub(self.outstanding);
+        let pumped = room.min(self.pending_requests.len());
+        if pumped > 0 {
+            let commit_up_to = self.history.last_committed();
+            let mut txns = Vec::with_capacity(pumped);
+            for data in self.pending_requests.drain(..pumped) {
+                self.counter = self.counter.checked_add(1).expect("zxid counter exhausted");
+                let zxid = Zxid::new(self.epoch, self.counter);
+                self.tracer.instant(Stage::ProposeEnqueue, zxid.0, 0);
+                let txn = Txn { zxid, data };
+                self.history.append(txn.clone());
+                txns.push(txn);
+            }
+            self.outstanding += pumped;
+            self.metrics.proposals_proposed.add(pumped as u64);
+            for txns in txn_chunks(txns) {
+                let last = txns.last().expect("a non-empty run chunks into non-empty batches").zxid;
+                self.propose_times.push_back((last, self.now_ms));
+                let token = self.token(Pending::SelfAck(last));
+                out.push(Action::Persist { token, req: PersistRequest::AppendTxns(txns.clone()) });
+                self.broadcast(Message::Propose { txns, commit_up_to }, out);
+            }
         }
         self.metrics.outstanding_depth.set(self.outstanding as i64);
         pumped
@@ -1505,12 +1527,22 @@ impl Leader {
             }
             if txn.zxid.epoch() == self.epoch {
                 self.outstanding -= 1;
-            }
-            if let Some(proposed_ms) = self.propose_times.remove(&txn.zxid) {
-                self.metrics.quorum_ack_latency_ms.record(self.now_ms.saturating_sub(proposed_ms));
+                // Own-epoch zxids were all proposed by this incarnation:
+                // the oldest batch ending at or after this one holds it.
+                while self.propose_times.front().is_some_and(|&(last, _)| last < txn.zxid) {
+                    self.propose_times.pop_front();
+                }
+                if let Some(&(_, proposed_ms)) = self.propose_times.front() {
+                    self.metrics
+                        .quorum_ack_latency_ms
+                        .record(self.now_ms.saturating_sub(proposed_ms));
+                }
             }
             self.tracer.instant(Stage::Quorum, txn.zxid.0, 0);
             out.push(Action::Committed { zxid: txn.zxid });
+        }
+        while self.propose_times.front().is_some_and(|&(last, _)| last <= z) {
+            self.propose_times.pop_front();
         }
         self.metrics.outstanding_depth.set(self.outstanding as i64);
         self.history.mark_committed(z);
@@ -1558,11 +1590,12 @@ impl Leader {
     /// of each group is its relay — ⌈m / ⌈√m⌉⌉ leader writes per frame.
     ///
     /// Path-switch safety: a follower's new path replays our view of its
-    /// history (`txns_after(acked)`) *on the new path itself*, so the
-    /// new stream is self-contained — nothing still in flight on the old
-    /// path is needed, and each per-path stream stays gap-free (FIFO
-    /// channels). Replay frames overlap whatever the follower already
-    /// holds; both automaton sides skip duplicates benignly.
+    /// history (`txns_after(acked)`, as [`FRAME_TXN_BYTES`]-bounded
+    /// `PROPOSE` batches) *on the new path itself*, so the new stream is
+    /// self-contained — nothing still in flight on the old path is
+    /// needed, and each per-path stream stays gap-free (FIFO channels).
+    /// Replay batches overlap whatever the follower already holds; it
+    /// appends only the new suffix of each.
     /// `RELAYASSIGN` frames are emitted before the replays they govern
     /// and ride the same FIFO channel, so a relay always learns its
     /// group before the first frame it must forward.
@@ -1631,17 +1664,19 @@ impl Leader {
                 None => to_direct.push((id, acked)),
             }
         }
+        let replay = |after: Zxid| {
+            txn_chunks(self.history.txns_after(after).to_vec())
+                .into_iter()
+                .filter(|txns| !txns.is_empty())
+                .map(move |txns| Message::Propose { txns, commit_up_to })
+        };
         for (id, acked) in to_direct {
-            for txn in self.history.txns_after(acked) {
-                out.push(Action::Send {
-                    to: id,
-                    msg: Message::Propose { txn: txn.clone(), commit_up_to },
-                });
+            for msg in replay(acked) {
+                out.push(Action::Send { to: id, msg });
             }
         }
         for (relay, from) in via_relay {
-            for txn in self.history.txns_after(from) {
-                let propose = Message::Propose { txn: txn.clone(), commit_up_to };
+            for propose in replay(from) {
                 out.push(Action::Send {
                     to: relay,
                     msg: Message::Forward { inner: propose.encode().into() },
@@ -1685,6 +1720,11 @@ mod tests {
             }
         }
         out
+    }
+
+    /// True if `m` is a PROPOSE batch carrying `zxid`.
+    fn proposes(m: &Message, zxid: Zxid) -> bool {
+        matches!(m, Message::Propose { txns, .. } if txns.iter().any(|t| t.zxid == zxid))
     }
 
     fn sends_to(actions: &[Action], to: ServerId) -> Vec<&Message> {
@@ -1762,11 +1802,11 @@ mod tests {
     #[test]
     fn proposal_lifecycle_self_ack_plus_one_follower_commits() {
         let mut l = established_leader();
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"x") });
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"x")] });
         let zxid = Zxid::new(Epoch(1), 1);
         // Propose fans out to both followers; persist requested.
-        assert!(matches!(sends_to(&a, F2)[0], Message::Propose { txn, .. } if txn.zxid == zxid));
-        assert!(matches!(sends_to(&a, F3)[0], Message::Propose { txn, .. } if txn.zxid == zxid));
+        assert!(proposes(sends_to(&a, F2)[0], zxid));
+        assert!(proposes(sends_to(&a, F3)[0], zxid));
         assert_eq!(l.outstanding(), 1);
         // Self persist alone: no commit (1 of 3).
         let a2 = complete_persists(&mut l, &a);
@@ -1791,7 +1831,8 @@ mod tests {
         // Three proposals; f2 acks all three, f3 only the first.
         let mut persists = Vec::new();
         for _ in 0..3 {
-            persists.extend(l.handle(Input::ClientRequest { data: Bytes::from_static(b"x") }));
+            persists
+                .extend(l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"x")] }));
         }
         let _ = complete_persists(&mut l, &persists);
         for c in 1..=3u32 {
@@ -1832,7 +1873,7 @@ mod tests {
         // Advance the driver clock, then propose; the quorum ack lands
         // 40ms later so the latency histogram must record exactly 40.
         let _ = l.handle(Input::Tick { now_ms: 100 });
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"x") });
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"x")] });
         let zxid = Zxid::new(Epoch(1), 1);
         assert_eq!(reg.snapshot().counter("core.proposals_proposed"), 1);
         assert_eq!(reg.snapshot().gauge("core.outstanding_depth"), 1);
@@ -1854,7 +1895,7 @@ mod tests {
         // it — that IS a quorum, so it commits. Verify the self-ack is not
         // required when followers alone form a quorum.
         let mut l = established_leader();
-        let _a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"x") });
+        let _a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"x")] });
         let zxid = Zxid::new(Epoch(1), 1);
         let a2 = l.handle(msg(F2, Message::Ack { zxid }));
         assert!(!a2.iter().any(|x| matches!(x, Action::Committed { .. })));
@@ -1864,26 +1905,10 @@ mod tests {
 
     #[test]
     fn window_throttles_and_queue_drains_on_commit() {
-        let mut config = cfg();
-        config.max_outstanding = 1;
-        let (mut l, _) = Leader::new(ME, config, PersistentState::default(), Zxid::ZERO, 0);
-        // Bring up one follower for a quorum.
-        let a = l.handle(msg(
-            F2,
-            Message::FollowerInfo { accepted_epoch: Epoch::ZERO, last_zxid: Zxid::ZERO },
-        ));
-        let a = complete_persists(&mut l, &a);
-        let _ = a;
-        let a = l.handle(msg(
-            F2,
-            Message::AckEpoch { current_epoch: Epoch::ZERO, last_zxid: Zxid::ZERO },
-        ));
-        complete_persists(&mut l, &a);
-        l.handle(msg(F2, Message::AckNewLeader { epoch: Epoch(1), last_zxid: Zxid::ZERO }));
-        assert!(l.is_established());
+        let mut l = established_with_window(1);
 
-        let a1 = l.handle(Input::ClientRequest { data: Bytes::from_static(b"1") });
-        let _a2 = l.handle(Input::ClientRequest { data: Bytes::from_static(b"2") });
+        let a1 = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"1")] });
+        let _a2 = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"2")] });
         assert_eq!(l.outstanding(), 1);
         assert_eq!(l.queued_requests(), 1);
         complete_persists(&mut l, &a1);
@@ -1891,7 +1916,7 @@ mod tests {
         // Commit of 1 pumps proposal 2.
         assert!(a.iter().any(|x| matches!(
             x,
-            Action::Send { msg: Message::Propose { txn, .. }, .. } if txn.zxid == Zxid::new(Epoch(1), 2)
+            Action::Send { msg, .. } if proposes(msg, Zxid::new(Epoch(1), 2))
         )));
         assert_eq!(l.outstanding(), 1);
         assert_eq!(l.queued_requests(), 0);
@@ -1899,24 +1924,10 @@ mod tests {
 
     #[test]
     fn pumped_proposal_suppresses_standalone_commit_frame() {
-        let mut config = cfg();
-        config.max_outstanding = 1;
-        let (mut l, _) = Leader::new(ME, config, PersistentState::default(), Zxid::ZERO, 0);
-        let a = l.handle(msg(
-            F2,
-            Message::FollowerInfo { accepted_epoch: Epoch::ZERO, last_zxid: Zxid::ZERO },
-        ));
-        complete_persists(&mut l, &a);
-        let a = l.handle(msg(
-            F2,
-            Message::AckEpoch { current_epoch: Epoch::ZERO, last_zxid: Zxid::ZERO },
-        ));
-        complete_persists(&mut l, &a);
-        l.handle(msg(F2, Message::AckNewLeader { epoch: Epoch(1), last_zxid: Zxid::ZERO }));
-        assert!(l.is_established());
+        let mut l = established_with_window(1);
 
-        let a1 = l.handle(Input::ClientRequest { data: Bytes::from_static(b"1") });
-        let _ = l.handle(Input::ClientRequest { data: Bytes::from_static(b"2") });
+        let a1 = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"1")] });
+        let _ = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"2")] });
         complete_persists(&mut l, &a1);
         let a = l.handle(msg(F2, Message::Ack { zxid: Zxid::new(Epoch(1), 1) }));
         // The commit pumps proposal 2, which carries the watermark — so
@@ -1924,8 +1935,8 @@ mod tests {
         let f2_msgs = sends_to(&a, F2);
         assert!(f2_msgs.iter().any(|m| matches!(
             m,
-            Message::Propose { txn, commit_up_to }
-                if txn.zxid == Zxid::new(Epoch(1), 2) && *commit_up_to == Zxid::new(Epoch(1), 1)
+            Message::Propose { txns, commit_up_to }
+                if txns[0].zxid == Zxid::new(Epoch(1), 2) && *commit_up_to == Zxid::new(Epoch(1), 1)
         )));
         assert!(!f2_msgs.iter().any(|m| matches!(m, Message::Commit { .. })));
 
@@ -1938,20 +1949,11 @@ mod tests {
             .any(|m| matches!(m, Message::Commit { zxid } if *zxid == Zxid::new(Epoch(1), 2))));
     }
 
-    #[test]
-    fn request_rejected_before_establishment() {
-        let (mut l, _) = Leader::new(ME, cfg(), PersistentState::default(), Zxid::ZERO, 0);
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"x") });
-        assert!(matches!(
-            a[0],
-            Action::ClientRequestRejected { reason: RejectReason::NotPrimary, .. }
-        ));
-    }
-
-    #[test]
-    fn full_request_queue_rejects_overload() {
+    /// A 3-ensemble leader with window `max_outstanding`, established
+    /// with follower 2 alone (f3 never joins).
+    fn established_with_window(max_outstanding: usize) -> Leader {
         let mut config = cfg();
-        config.max_outstanding = 1;
+        config.max_outstanding = max_outstanding;
         let (mut l, _) = Leader::new(ME, config, PersistentState::default(), Zxid::ZERO, 0);
         let a = l.handle(msg(
             F2,
@@ -1964,13 +1966,156 @@ mod tests {
         ));
         complete_persists(&mut l, &a);
         l.handle(msg(F2, Message::AckNewLeader { epoch: Epoch(1), last_zxid: Zxid::ZERO }));
+        assert!(l.is_established());
+        l
+    }
+
+    fn requests(payloads: Vec<Vec<u8>>) -> Input {
+        Input::ClientRequests { data: payloads.into_iter().map(Bytes::from).collect() }
+    }
+
+    /// The `AppendTxns` batches among `actions`, in order.
+    fn appends(actions: &[Action]) -> Vec<&Vec<Txn>> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Persist { req: PersistRequest::AppendTxns(txns), .. } => Some(txns),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn client_requests_batch_into_one_persist_and_one_broadcast() {
+        let mut l = established_leader();
+        let a = l.handle(requests((0..5u8).map(|i| vec![i]).collect()));
+        let zxids: Vec<Zxid> = (1..=5).map(|c| Zxid::new(Epoch(1), c)).collect();
+        let batch = appends(&a);
+        assert_eq!(batch.len(), 1, "one log append for the whole batch");
+        assert_eq!(batch[0].iter().map(|t| t.zxid).collect::<Vec<_>>(), zxids);
+        assert_eq!(a.iter().filter(|x| matches!(x, Action::Persist { .. })).count(), 1);
+        let frames: Vec<&Action> = a
+            .iter()
+            .filter(|x| matches!(x, Action::Send { .. } | Action::Broadcast { .. }))
+            .collect();
+        assert_eq!(frames.len(), 1, "one PROPOSE frame for the whole batch");
+        let Action::Broadcast { to, msg: Message::Propose { txns, commit_up_to } } = frames[0]
+        else {
+            panic!("expected one PROPOSE broadcast, got {:?}", frames[0]);
+        };
+        assert_eq!(to, &vec![F2, F3]);
+        assert_eq!(txns, batch[0]);
+        assert_eq!(*commit_up_to, Zxid::ZERO);
+        assert_eq!(l.outstanding(), 5);
+        // The one persist token acks all five: with one follower ack of
+        // the last zxid, the whole batch commits.
+        complete_persists(&mut l, &a);
+        let a = l.handle(msg(F2, Message::Ack { zxid: zxids[4] }));
+        let committed: Vec<Zxid> = a
+            .iter()
+            .filter_map(|x| match x {
+                Action::Committed { zxid } => Some(*zxid),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(committed, zxids);
+        assert_eq!(l.outstanding(), 0);
+    }
+
+    #[test]
+    fn byte_cap_splits_a_batch_and_an_oversized_txn_ships_alone() {
+        let mut l = established_leader();
+        let quarter = FRAME_TXN_BYTES / 4;
+        let mut payloads = vec![vec![1u8; quarter]; 4];
+        payloads.push(vec![2u8; 2 * FRAME_TXN_BYTES]);
+        payloads.push(vec![3u8; 8]);
+        let a = l.handle(requests(payloads));
+        // Three quarters (plus overhead) fill a frame, the fourth starts
+        // the next; the oversized txn and the one after it go alone.
+        let batches = appends(&a);
+        assert_eq!(batches.iter().map(|b| b.len()).collect::<Vec<_>>(), vec![3, 1, 1, 1]);
+        assert_eq!(batches[2][0].data.len(), 2 * FRAME_TXN_BYTES);
+        let proposed: Vec<&Vec<Txn>> = a
+            .iter()
+            .filter_map(|x| match x {
+                Action::Broadcast { msg: Message::Propose { txns, .. }, .. } => Some(txns),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(proposed, batches, "each chunk is one frame and one append");
+        let zxids: Vec<u32> =
+            batches.iter().flat_map(|b| b.iter()).map(|t| t.zxid.counter()).collect();
+        assert_eq!(zxids, (1..=6).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn reopened_window_sends_queued_requests_as_one_frame() {
+        let mut l = established_with_window(3);
+        let a = l.handle(requests(vec![vec![1], vec![2], vec![3]]));
+        complete_persists(&mut l, &a);
+        // The window is full: the next three queue.
+        let a = l.handle(requests(vec![vec![4], vec![5], vec![6]]));
+        assert!(sends_to(&a, F2).is_empty());
+        assert_eq!(l.queued_requests(), 3);
+        // One cumulative ack commits the first batch and reopens the
+        // window: the queue leaves as one frame carrying the watermark.
+        let a = l.handle(msg(F2, Message::Ack { zxid: Zxid::new(Epoch(1), 3) }));
+        let to_f2 = sends_to(&a, F2);
+        assert_eq!(to_f2.len(), 1, "no standalone COMMIT, one PROPOSE: {to_f2:?}");
+        let Message::Propose { txns, commit_up_to } = to_f2[0] else {
+            panic!("expected PROPOSE, got {}", to_f2[0].kind());
+        };
+        assert_eq!(txns.iter().map(|t| t.zxid.counter()).collect::<Vec<_>>(), vec![4, 5, 6]);
+        assert_eq!(*commit_up_to, Zxid::new(Epoch(1), 3));
+        assert_eq!(appends(&a).len(), 1);
+        assert_eq!(l.queued_requests(), 0);
+    }
+
+    #[test]
+    fn overloaded_batch_sheds_only_its_tail() {
+        let mut l = established_with_window(1);
+        // One proposal fills the window and MAX_QUEUED_REQUESTS queue;
+        // the last two of the batch are shed, in submission order.
+        let payloads: Vec<Vec<u8>> =
+            (0..MAX_QUEUED_REQUESTS as u32 + 3).map(|i| i.to_le_bytes().to_vec()).collect();
+        let a = l.handle(requests(payloads));
+        let shed: Vec<&Bytes> = a
+            .iter()
+            .filter_map(|x| match x {
+                Action::ClientRequestRejected { data, reason: RejectReason::Overloaded } => {
+                    Some(data)
+                }
+                _ => None,
+            })
+            .collect();
+        let tail: Vec<Bytes> = (MAX_QUEUED_REQUESTS as u32 + 1..MAX_QUEUED_REQUESTS as u32 + 3)
+            .map(|i| Bytes::from(i.to_le_bytes().to_vec()))
+            .collect();
+        assert_eq!(shed, tail.iter().collect::<Vec<_>>());
+        assert_eq!(l.outstanding(), 1);
+        assert_eq!(l.queued_requests(), MAX_QUEUED_REQUESTS);
+    }
+
+    #[test]
+    fn request_rejected_before_establishment() {
+        let (mut l, _) = Leader::new(ME, cfg(), PersistentState::default(), Zxid::ZERO, 0);
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"x")] });
+        assert!(matches!(
+            a[0],
+            Action::ClientRequestRejected { reason: RejectReason::NotPrimary, .. }
+        ));
+    }
+
+    #[test]
+    fn full_request_queue_rejects_overload() {
+        let mut l = established_with_window(1);
         // One proposal fills the window; the queue then takes exactly
         // MAX_QUEUED_REQUESTS more before it sheds.
         for _ in 0..=MAX_QUEUED_REQUESTS {
-            let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"y") });
+            let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"y")] });
             assert!(!a.iter().any(|x| matches!(x, Action::ClientRequestRejected { .. })));
         }
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"z") });
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"z")] });
         assert!(a.iter().any(|x| matches!(
             x,
             Action::ClientRequestRejected { reason: RejectReason::Overloaded, .. }
@@ -2024,7 +2169,7 @@ mod tests {
         l.handle(msg(F2, Message::AckNewLeader { epoch: Epoch(1), last_zxid: Zxid::ZERO }));
         assert!(l.is_established());
         // Commit one txn.
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"pre") });
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"pre")] });
         complete_persists(&mut l, &a);
         l.handle(msg(F2, Message::Ack { zxid: Zxid::new(Epoch(1), 1) }));
         // f3 joins (fresh): fast path is not taken (accepted 0 < epoch 1).
@@ -2043,7 +2188,7 @@ mod tests {
             m => panic!("expected DIFF, got {}", m.kind()),
         }
         // While f3 syncs, another proposal happens: f3 must NOT see it yet.
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"mid") });
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"mid")] });
         assert!(sends_to(&a, F3).is_empty(), "proposal leaked to syncing peer");
         assert_eq!(sends_to(&a, F2).len(), 1);
         complete_persists(&mut l, &a);
@@ -2055,10 +2200,7 @@ mod tests {
         ));
         let f3_msgs = sends_to(&a, F3);
         assert!(matches!(f3_msgs[0], Message::UpToDate { .. }));
-        assert!(f3_msgs.iter().any(|m| matches!(
-            m,
-            Message::Propose { txn, .. } if txn.zxid == Zxid::new(Epoch(1), 2)
-        )));
+        assert!(f3_msgs.iter().any(|m| proposes(m, Zxid::new(Epoch(1), 2))));
         assert!(f3_msgs.iter().any(|m| matches!(
             m,
             Message::Commit { zxid } if *zxid == Zxid::new(Epoch(1), 2)
@@ -2071,7 +2213,7 @@ mod tests {
         l.handle(Input::PeerDisconnected { peer: F2 });
         assert_eq!(l.active_followers().count(), 1);
         // Proposals still commit via self + f3.
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"x") });
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"x")] });
         complete_persists(&mut l, &a);
         let a = l.handle(msg(F3, Message::Ack { zxid: Zxid::new(Epoch(1), 1) }));
         assert!(a.iter().any(|x| matches!(x, Action::Committed { .. })));
@@ -2133,7 +2275,7 @@ mod tests {
         l.handle(msg(F2, Message::AckNewLeader { epoch: Epoch(1), last_zxid: Zxid::ZERO }));
         // Commit two txns so the gap to a fresh joiner exceeds threshold 1.
         for _ in 0..2 {
-            let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"x") });
+            let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"x")] });
             complete_persists(&mut l, &a);
         }
         l.handle(msg(F2, Message::Ack { zxid: Zxid::new(Epoch(1), 2) }));
@@ -2171,7 +2313,8 @@ mod tests {
         let mut l = established_leader();
         let mut persists = Vec::new();
         for _ in 0..3 {
-            persists.extend(l.handle(Input::ClientRequest { data: Bytes::from_static(b"p") }));
+            persists
+                .extend(l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"p")] }));
         }
         complete_persists(&mut l, &persists);
         let a = l.handle(msg(F2, Message::Ack { zxid: Zxid::new(Epoch(1), 3) }));
@@ -2190,27 +2333,27 @@ mod tests {
     }
 
     #[test]
-    fn sync_chunks_bounds_each_chunk_and_preserves_order() {
-        let big = SYNC_CHUNK_BYTES / 2;
+    fn txn_chunks_bound_each_chunk_and_preserve_order() {
+        let big = FRAME_TXN_BYTES / 2;
         let txns: Vec<Txn> = (1..=5)
             .map(|i| Txn::new(Zxid::new(Epoch(1), i), Bytes::from(vec![i as u8; big])))
             .collect();
-        let chunks = sync_chunks(txns.clone());
+        let chunks = txn_chunks(txns.clone());
         assert!(chunks.len() > 1, "1.25 MiB of payload must split");
         for chunk in &chunks {
-            let bytes: usize = chunk.iter().map(|t| t.data.len() + SYNC_TXN_OVERHEAD).sum();
-            assert!(chunk.len() == 1 || bytes <= SYNC_CHUNK_BYTES);
+            let bytes: usize = chunk.iter().map(|t| t.data.len() + TXN_OVERHEAD).sum();
+            assert!(chunk.len() == 1 || bytes <= FRAME_TXN_BYTES);
         }
         let flat: Vec<Txn> = chunks.into_iter().flatten().collect();
         assert_eq!(flat, txns);
 
         // Empty input still yields the mandatory leading (empty) chunk.
-        assert_eq!(sync_chunks(Vec::new()), vec![Vec::new()]);
+        assert_eq!(txn_chunks(Vec::new()), vec![Vec::new()]);
 
         // A single oversized txn travels alone rather than being dropped.
         let giant =
-            vec![Txn::new(Zxid::new(Epoch(1), 9), Bytes::from(vec![0u8; SYNC_CHUNK_BYTES * 2]))];
-        let chunks = sync_chunks(giant.clone());
+            vec![Txn::new(Zxid::new(Epoch(1), 9), Bytes::from(vec![0u8; FRAME_TXN_BYTES * 2]))];
+        let chunks = txn_chunks(giant.clone());
         assert_eq!(chunks.into_iter().flatten().collect::<Vec<_>>(), giant);
     }
 
@@ -2232,7 +2375,7 @@ mod tests {
         assert!(l.is_established());
         let payload = vec![0u8; payload_bytes];
         for i in 1..=n {
-            let a = l.handle(Input::ClientRequest { data: Bytes::from(payload.clone()) });
+            let a = l.handle(Input::ClientRequests { data: vec![Bytes::from(payload.clone())] });
             complete_persists(&mut l, &a);
             l.handle(msg(F2, Message::Ack { zxid: Zxid::new(Epoch(1), i) }));
         }
@@ -2257,7 +2400,7 @@ mod tests {
         // bounded chunk, and each further chunk is released only after
         // the previous one is SYNCACKed, with NEWLEADER riding on the
         // final chunk — the whole tail covered in order.
-        let mut l = leader_with_history(cfg(), 6, SYNC_CHUNK_BYTES / 4);
+        let mut l = leader_with_history(cfg(), 6, FRAME_TXN_BYTES / 4);
         let a = join_f3(&mut l);
         let f3_msgs = sends_to(&a, F3);
         assert_eq!(f3_msgs.len(), 1, "paced stream opens with exactly one chunk");
@@ -2279,9 +2422,8 @@ mod tests {
             for m in sends_to(&a, F3) {
                 match m {
                     Message::SyncDiff { txns } => {
-                        let bytes: usize =
-                            txns.iter().map(|t| t.data.len() + SYNC_TXN_OVERHEAD).sum();
-                        assert!(txns.len() == 1 || bytes <= SYNC_CHUNK_BYTES);
+                        let bytes: usize = txns.iter().map(|t| t.data.len() + TXN_OVERHEAD).sum();
+                        assert!(txns.len() == 1 || bytes <= FRAME_TXN_BYTES);
                         streamed.extend(txns.iter().cloned());
                         diffs += 1;
                     }
@@ -2310,7 +2452,7 @@ mod tests {
         // chunk plus NEWLEADER in a single batch, no acks required.
         let mut config = cfg();
         config.sync_rate_bytes_per_sec = 0;
-        let mut l = leader_with_history(config, 6, SYNC_CHUNK_BYTES / 4);
+        let mut l = leader_with_history(config, 6, FRAME_TXN_BYTES / 4);
         let a = join_f3(&mut l);
         let f3_msgs = sends_to(&a, F3);
         let diffs = f3_msgs.iter().filter(|m| matches!(m, Message::SyncDiff { .. })).count();
@@ -2333,7 +2475,7 @@ mod tests {
         // tick-driven refills.
         let mut config = cfg();
         config.sync_rate_bytes_per_sec = 1 << 20;
-        let mut l = leader_with_history(config, 12, SYNC_CHUNK_BYTES / 4);
+        let mut l = leader_with_history(config, 12, FRAME_TXN_BYTES / 4);
         let a = join_f3(&mut l);
         assert_eq!(sends_to(&a, F3).len(), 1, "opening chunk only");
         // Ack 1 → chunk 2 released from the remaining burst budget.
@@ -2391,7 +2533,7 @@ mod tests {
         // The whole 7 MiB stream fits the initial 8 MiB bucket, so this
         // test isolates plan extension from throttling.
         config.sync_rate_bytes_per_sec = 8 << 20;
-        let quarter = SYNC_CHUNK_BYTES / 4;
+        let quarter = FRAME_TXN_BYTES / 4;
         let mut l = leader_with_history(config, 8, quarter);
         let mut streamed: Vec<Txn> = Vec::new();
         let mut seen_newleader = false;
@@ -2401,7 +2543,7 @@ mod tests {
         // MiB — well past the cutover threshold of the original plan.
         let payload = vec![0u8; quarter];
         for i in 9..=28u32 {
-            let a = l.handle(Input::ClientRequest { data: Bytes::from(payload.clone()) });
+            let a = l.handle(Input::ClientRequests { data: vec![Bytes::from(payload.clone())] });
             let b = complete_persists(&mut l, &a);
             record(&a, &mut streamed, &mut seen_newleader);
             record(&b, &mut streamed, &mut seen_newleader);
@@ -2422,7 +2564,7 @@ mod tests {
         assert!(streamed.windows(2).all(|w| w[0].zxid < w[1].zxid));
         // One proposal lands in the post-NEWLEADER round-trip window:
         // that (and only that) is activation-flush traffic.
-        let a = l.handle(Input::ClientRequest { data: Bytes::from(vec![7u8; 8]) });
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from(vec![7u8; 8])] });
         complete_persists(&mut l, &a);
         assert!(sends_to(&a, F3).is_empty(), "post-NEWLEADER traffic queues for the flush");
         let a = l.handle(msg(
@@ -2432,10 +2574,7 @@ mod tests {
         let to_f3 = sends_to(&a, F3);
         assert!(matches!(to_f3[0], Message::UpToDate { .. }));
         assert!(
-            to_f3.iter().any(|m| matches!(
-                m,
-                Message::Propose { txn, .. } if txn.zxid == Zxid::new(Epoch(1), 29)
-            )),
+            to_f3.iter().any(|m| proposes(m, Zxid::new(Epoch(1), 29))),
             "the round-trip-window proposal flushes at activation"
         );
         assert_eq!(to_f3.len(), 2, "the flush covers only the round-trip window");
@@ -2452,7 +2591,7 @@ mod tests {
         // the bucket — so the catch-up still terminates.
         let mut config = cfg();
         config.sync_rate_bytes_per_sec = 2 << 20;
-        let quarter = SYNC_CHUNK_BYTES / 4;
+        let quarter = FRAME_TXN_BYTES / 4;
         let mut l = leader_with_history(config.clone(), 6, quarter);
         let mut streamed: Vec<Txn> = Vec::new();
         let mut seen_newleader = false;
@@ -2495,7 +2634,8 @@ mod tests {
             if !saw_multi_diff {
                 for _ in 0..5 {
                     appended += 1;
-                    let a = l.handle(Input::ClientRequest { data: Bytes::from(payload.clone()) });
+                    let a = l
+                        .handle(Input::ClientRequests { data: vec![Bytes::from(payload.clone())] });
                     complete_persists(&mut l, &a);
                     l.handle(msg(F2, Message::Ack { zxid: Zxid::new(Epoch(1), appended) }));
                 }
@@ -2556,9 +2696,9 @@ mod tests {
             l.handle(msg(f, Message::AckNewLeader { epoch: Epoch(1), last_zxid: Zxid::ZERO }));
         }
         assert!(l.is_established());
-        let payload = vec![0u8; SYNC_CHUNK_BYTES / 4];
+        let payload = vec![0u8; FRAME_TXN_BYTES / 4];
         for i in 1..=12u32 {
-            let a = l.handle(Input::ClientRequest { data: Bytes::from(payload.clone()) });
+            let a = l.handle(Input::ClientRequests { data: vec![Bytes::from(payload.clone())] });
             complete_persists(&mut l, &a);
             l.handle(msg(F2, Message::Ack { zxid: Zxid::new(Epoch(1), i) }));
             l.handle(msg(f5, Message::Ack { zxid: Zxid::new(Epoch(1), i) }));
@@ -2643,17 +2783,17 @@ mod tests {
     }
 
     #[test]
-    fn sync_chunks_split_exactly_at_budget_boundary() {
+    fn txn_chunks_split_exactly_at_budget_boundary() {
         // Four txns whose budgeted costs sum to exactly the chunk budget
         // stay together; one extra byte forces a split after three.
-        let unit = SYNC_CHUNK_BYTES / 4 - SYNC_TXN_OVERHEAD;
+        let unit = FRAME_TXN_BYTES / 4 - TXN_OVERHEAD;
         let txns: Vec<Txn> = (1..=4)
             .map(|i| Txn::new(Zxid::new(Epoch(1), i), Bytes::from(vec![0u8; unit])))
             .collect();
-        assert_eq!(sync_chunks(txns.clone()).len(), 1, "exact fit must not split");
+        assert_eq!(txn_chunks(txns.clone()).len(), 1, "exact fit must not split");
         let mut over = txns;
         over[3] = Txn::new(Zxid::new(Epoch(1), 4), Bytes::from(vec![0u8; unit + 1]));
-        let chunks = sync_chunks(over);
+        let chunks = txn_chunks(over);
         assert_eq!(chunks.len(), 2, "one byte over the budget splits");
         assert_eq!((chunks[0].len(), chunks[1].len()), (3, 1));
     }
@@ -2697,7 +2837,7 @@ mod tests {
     /// One committed transaction with every follower acking it — after
     /// this, every follower is relay-ready and the plan (if any) is live.
     fn propose_and_ack_all(l: &mut Leader, n: u64, counter: u32) -> Vec<Action> {
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"x") });
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"x")] });
         complete_persists(l, &a);
         let zxid = Zxid::new(Epoch(1), counter);
         let mut acc = Vec::new();
@@ -2734,7 +2874,7 @@ mod tests {
     fn relay_broadcast_writes_once_per_relay_and_skips_members() {
         let mut l = leader_with_followers(9, Topology::Relay);
         propose_and_ack_all(&mut l, 9, 1);
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"y") });
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"y")] });
         let zxid = Zxid::new(Epoch(1), 2);
         // Exactly one outbound frame: a FORWARD broadcast to the relays.
         let broadcasts: Vec<_> = a
@@ -2752,7 +2892,7 @@ mod tests {
         };
         // The wrapped bytes decode to the origin PROPOSE, verbatim.
         match Message::decode_bytes(inner.clone()).unwrap() {
-            Message::Propose { txn, .. } => assert_eq!(txn.zxid, zxid),
+            Message::Propose { txns, .. } => assert_eq!(txns[0].zxid, zxid),
             m => panic!("expected wrapped PROPOSE, got {}", m.kind()),
         }
     }
@@ -2762,7 +2902,7 @@ mod tests {
         let mut l = leader_with_followers(9, Topology::Star);
         propose_and_ack_all(&mut l, 9, 1);
         assert!(l.relay_topology().is_empty());
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"y") });
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"y")] });
         // Plain PROPOSE to all eight followers.
         let targets: Vec<ServerId> = (2..=9).map(ServerId).collect();
         assert!(a.iter().any(|x| matches!(
@@ -2788,7 +2928,7 @@ mod tests {
         propose_and_ack_all(&mut l, 9, 1);
         // A second proposal is in flight (acked by nobody) when relay 2
         // crashes: the replay must carry it on each member's new path.
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"y") });
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"y")] });
         complete_persists(&mut l, &a);
         let inflight = Zxid::new(Epoch(1), 2);
         let before = reg.snapshot().counter("core.relay_reassignments");
@@ -2807,12 +2947,9 @@ mod tests {
         );
         // The in-flight txn is replayed through the new relay...
         assert!(to3.iter().any(|m| matches!(m, Message::Forward { inner }
-            if matches!(Message::decode_bytes(inner.clone()).unwrap(),
-                Message::Propose { txn, .. } if txn.zxid == inflight))));
+            if proposes(&Message::decode_bytes(inner.clone()).unwrap(), inflight))));
         // ...and straight to the follower that fell back to direct.
-        assert!(sends_to(&a, ServerId(9))
-            .iter()
-            .any(|m| matches!(m, Message::Propose { txn, .. } if txn.zxid == inflight)));
+        assert!(sends_to(&a, ServerId(9)).iter().any(|m| proposes(m, inflight)));
         // Demoted relays are told to stop forwarding.
         assert!(sends_to(&a, ServerId(5))
             .iter()
@@ -2826,7 +2963,7 @@ mod tests {
         // Follower 9 (relayed under 8) stops acking: its relay link is
         // cut, but it still reaches the leader (pongs keep flowing).
         let _ = l.handle(Input::Tick { now_ms: 200 });
-        let a = l.handle(Input::ClientRequest { data: Bytes::from_static(b"y") });
+        let a = l.handle(Input::ClientRequests { data: vec![Bytes::from_static(b"y")] });
         complete_persists(&mut l, &a);
         let inflight = Zxid::new(Epoch(1), 2);
         for f in 2..=8 {
@@ -2840,9 +2977,7 @@ mod tests {
         assert!(!a.iter().any(|x| matches!(x, Action::GoToElection { .. })));
         let parents: Vec<ServerId> = groups_of(&l).values().flatten().copied().collect();
         assert!(!parents.contains(&ServerId(9)), "9 must leave the tree");
-        assert!(sends_to(&a, ServerId(9))
-            .iter()
-            .any(|m| matches!(m, Message::Propose { txn, .. } if txn.zxid == inflight)));
+        assert!(sends_to(&a, ServerId(9)).iter().any(|m| proposes(m, inflight)));
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use crate::types::{Epoch, ServerId, Txn, Zxid};
 use bytes::Bytes;
+use std::ops::RangeInclusive;
 use zab_wire::codec::{WireError, WireRead, WireWrite};
 
 /// A Zab protocol message.
@@ -98,15 +99,20 @@ pub enum Message {
         /// Commit (and deliver) everything up to this zxid.
         commit_to: Zxid,
     },
-    /// Phase 3 (l → f): a new proposal, carrying the leader's commit
-    /// watermark so a saturated pipeline needs no separate `COMMIT`
-    /// frame per quorum crossing.
+    /// Phase 3 (l → f): a batch of proposals, carrying the leader's
+    /// commit watermark so a saturated pipeline needs no separate
+    /// `COMMIT` frame per quorum crossing. Each transaction keeps its own
+    /// zxid; the batch only shares one frame, one follower log append and
+    /// one cumulative `ACK` of its last zxid. A lone request is the
+    /// batch of one.
     Propose {
-        /// The proposed transaction.
-        txn: Txn,
-        /// The leader's highest committed zxid at proposal time — a
+        /// The proposed transactions: non-empty, one epoch, consecutive
+        /// zxids.
+        txns: Vec<Txn>,
+        /// The leader's highest committed zxid at send time — a
         /// cumulative commit-up-to watermark (see [`Message::Commit`]).
-        /// Always strictly below `txn.zxid`.
+        /// Below the first zxid of a fresh batch; a path-switch replay
+        /// may resend transactions at or below it.
         commit_up_to: Zxid,
     },
     /// Phase 3 (f → l): the proposal is durable at this follower. Acks are
@@ -181,14 +187,18 @@ const TAG_ACK: u8 = 11;
 const TAG_COMMIT: u8 = 12;
 const TAG_PING: u8 = 13;
 const TAG_PONG: u8 = 14;
-/// `PROPOSE` with a piggybacked commit watermark.
-const TAG_PROPOSE_COMMIT: u8 = 15;
+// Tag 15 is retired: it was the single-transaction PROPOSE with a
+// watermark. Tags are append-only, so it must never be reused; it now
+// fails to decode.
 /// Sync-stream chunk acknowledgement (paced catch-up flow control).
 const TAG_SYNC_ACK: u8 = 16;
 /// Relay-tree dissemination: a wrapped origin frame, forwarded verbatim.
 const TAG_FORWARD: u8 = 17;
 /// Relay-tree dissemination: group assignment for a relay.
 const TAG_RELAY_ASSIGN: u8 = 18;
+/// `PROPOSE` of a non-empty transaction batch with a piggybacked commit
+/// watermark (the sync chunks' transaction-list layout).
+const TAG_PROPOSE_BATCH: u8 = 19;
 
 fn put_txns(buf: &mut Vec<u8>, txns: &[Txn]) {
     buf.put_u32_le_wire(txns.len() as u32);
@@ -228,6 +238,24 @@ impl Message {
             Message::SyncAck { .. } => "SYNCACK",
             Message::Forward { .. } => "FORWARD",
             Message::RelayAssign { .. } => "RELAYASSIGN",
+        }
+    }
+
+    /// The zxids the flight recorder attributes this message to, one
+    /// wire instant each: every zxid of a PROPOSE batch, or the one an
+    /// ACK/COMMIT names. Heartbeats, election traffic, sync streams and
+    /// relay wrappers are not traced per transaction — they would drown
+    /// the per-transaction timelines in noise. A batch's zxids are
+    /// consecutive, so the range is its first zxid plus its length
+    /// (which also bounds it for a malformed batch).
+    pub fn traced_zxids(&self) -> Option<RangeInclusive<u64>> {
+        match self {
+            Message::Propose { txns, .. } => {
+                let first = txns.first()?.zxid.0;
+                Some(first..=first.saturating_add(txns.len() as u64 - 1))
+            }
+            Message::Ack { zxid } | Message::Commit { zxid } => Some(zxid.0..=zxid.0),
+            _ => None,
         }
     }
 
@@ -285,10 +313,10 @@ impl Message {
                 buf.put_u8_wire(TAG_UP_TO_DATE);
                 buf.put_u64_le_wire(commit_to.0);
             }
-            Message::Propose { txn, commit_up_to } => {
-                buf.put_u8_wire(TAG_PROPOSE_COMMIT);
+            Message::Propose { txns, commit_up_to } => {
+                buf.put_u8_wire(TAG_PROPOSE_BATCH);
                 buf.put_u64_le_wire(commit_up_to.0);
-                txn.encode(buf);
+                put_txns(buf, txns);
             }
             Message::Ack { zxid } => {
                 buf.put_u8_wire(TAG_ACK);
@@ -381,9 +409,13 @@ impl Message {
                 last_zxid: Zxid(cur.get_u64_le_wire()?),
             },
             TAG_UP_TO_DATE => Message::UpToDate { commit_to: Zxid(cur.get_u64_le_wire()?) },
-            TAG_PROPOSE_COMMIT => {
+            TAG_PROPOSE_BATCH => {
                 let commit_up_to = Zxid(cur.get_u64_le_wire()?);
-                Message::Propose { txn: Txn::decode(cur)?, commit_up_to }
+                let txns = get_txns(cur)?;
+                if txns.is_empty() {
+                    return Err(WireError::Empty { context: "PROPOSE batch" });
+                }
+                Message::Propose { txns, commit_up_to }
             }
             TAG_ACK => Message::Ack { zxid: Zxid(cur.get_u64_le_wire()?) },
             TAG_COMMIT => Message::Commit { zxid: Zxid(cur.get_u64_le_wire()?) },
@@ -430,8 +462,11 @@ mod tests {
             Message::NewLeader { epoch: Epoch(4) },
             Message::AckNewLeader { epoch: Epoch(4), last_zxid: Zxid::new(Epoch(3), 7) },
             Message::UpToDate { commit_to: Zxid::new(Epoch(3), 7) },
-            Message::Propose { txn: txn(4, 1), commit_up_to: Zxid::ZERO },
-            Message::Propose { txn: txn(4, 2), commit_up_to: Zxid::new(Epoch(4), 1) },
+            Message::Propose { txns: vec![txn(4, 1)], commit_up_to: Zxid::ZERO },
+            Message::Propose {
+                txns: vec![txn(4, 2), txn(4, 3), txn(4, 4)],
+                commit_up_to: Zxid::new(Epoch(4), 1),
+            },
             Message::Ack { zxid: Zxid::new(Epoch(4), 1) },
             Message::Commit { zxid: Zxid::new(Epoch(4), 1) },
             Message::Ping { last_committed: Zxid::new(Epoch(4), 1) },
@@ -439,8 +474,11 @@ mod tests {
             Message::SyncAck { last_zxid: Zxid::new(Epoch(4), 1) },
             Message::Forward {
                 inner: Bytes::from(
-                    Message::Propose { txn: txn(4, 3), commit_up_to: Zxid::new(Epoch(4), 2) }
-                        .encode(),
+                    Message::Propose {
+                        txns: vec![txn(4, 3)],
+                        commit_up_to: Zxid::new(Epoch(4), 2),
+                    }
+                    .encode(),
                 ),
             },
             Message::RelayAssign { members: vec![ServerId(3), ServerId(7)] },
@@ -468,8 +506,11 @@ mod tests {
 
     #[test]
     fn truncated_message_rejected() {
-        let wire =
-            Message::Propose { txn: txn(1, 1), commit_up_to: Zxid::new(Epoch(1), 0) }.encode();
+        let wire = Message::Propose {
+            txns: vec![txn(1, 1), txn(1, 2)],
+            commit_up_to: Zxid::new(Epoch(1), 0),
+        }
+        .encode();
         for cut in 0..wire.len() {
             assert!(
                 Message::decode(&wire[..cut]).is_err(),
@@ -495,7 +536,10 @@ mod tests {
         // bytes back — so a group member decodes the identical Propose
         // the leader encoded, no matter how many relays it crossed.
         let origin = Message::Propose {
-            txn: Txn::new(Zxid::new(Epoch(7), 42), vec![0x5A; 128]),
+            txns: vec![
+                Txn::new(Zxid::new(Epoch(7), 42), vec![0x5A; 128]),
+                Txn::new(Zxid::new(Epoch(7), 43), vec![0xA5; 64]),
+            ],
             commit_up_to: Zxid::new(Epoch(7), 40),
         };
         let origin_wire = origin.encode();
@@ -537,6 +581,49 @@ mod tests {
             Message::decode(&wire),
             Err(WireError::InvalidTag { tag: 10, context: "Message" })
         );
+    }
+
+    #[test]
+    fn retired_single_txn_propose_tag_is_rejected() {
+        // Tag 15 was the one-transaction PROPOSE with a watermark. It is
+        // retired, not reused: the batch frame replaced it.
+        let mut wire = vec![15u8];
+        wire.put_u64_le_wire(0);
+        txn(4, 1).encode(&mut wire);
+        assert_eq!(
+            Message::decode(&wire),
+            Err(WireError::InvalidTag { tag: 15, context: "Message" })
+        );
+    }
+
+    #[test]
+    fn propose_batch_round_trips_and_rejects_empty() {
+        let batch = Message::Propose {
+            txns: (1..=5).map(|c| txn(6, c)).collect(),
+            commit_up_to: Zxid::new(Epoch(5), 9),
+        };
+        let wire = batch.encode();
+        assert_eq!(wire[0], TAG_PROPOSE_BATCH);
+        assert_eq!(Message::decode(&wire), Ok(batch.clone()));
+        assert_eq!(Message::decode_bytes(Bytes::from(wire)), Ok(batch));
+        // An empty batch encodes (the sender never builds one) but never
+        // decodes: a PROPOSE must propose something.
+        let empty = Message::Propose { txns: vec![], commit_up_to: Zxid::ZERO }.encode();
+        assert_eq!(Message::decode(&empty), Err(WireError::Empty { context: "PROPOSE batch" }));
+    }
+
+    #[test]
+    fn traced_zxids_cover_a_batch_one_per_txn() {
+        let batch = Message::Propose {
+            txns: (3..=6).map(|c| txn(2, c)).collect(),
+            commit_up_to: Zxid::ZERO,
+        };
+        let z = |c| Zxid::new(Epoch(2), c).0;
+        assert_eq!(batch.traced_zxids(), Some(z(3)..=z(6)));
+        assert_eq!(Message::Ack { zxid: Zxid(7) }.traced_zxids(), Some(7..=7));
+        assert_eq!(Message::Commit { zxid: Zxid(8) }.traced_zxids(), Some(8..=8));
+        assert_eq!(Message::Ping { last_committed: Zxid(9) }.traced_zxids(), None);
+        assert_eq!(Message::SyncDiff { txns: vec![txn(2, 1)] }.traced_zxids(), None);
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl Harness {
             .nodes
             .get_mut(&leader)
             .unwrap()
-            .handle(Input::ClientRequest { data: Bytes::copy_from_slice(data) });
+            .handle(Input::ClientRequests { data: vec![Bytes::copy_from_slice(data)] });
         self.dispatch(leader, acts);
         self.run();
     }
@@ -185,7 +185,7 @@ fn client_request_to_follower_is_rejected() {
         .nodes
         .get_mut(&ServerId(2))
         .unwrap()
-        .handle(Input::ClientRequest { data: Bytes::from_static(b"x") });
+        .handle(Input::ClientRequests { data: vec![Bytes::from_static(b"x")] });
     assert!(matches!(acts[0], Action::ClientRequestRejected { .. }));
 }
 
@@ -377,16 +377,31 @@ fn pipelined_burst_commits_everything() {
     // Submit a burst without waiting for completions in between.
     let acts: Vec<Action> = (0..100u32)
         .flat_map(|i| {
-            h.nodes
-                .get_mut(&ServerId(1))
-                .unwrap()
-                .handle(Input::ClientRequest { data: Bytes::copy_from_slice(&i.to_le_bytes()) })
+            h.nodes.get_mut(&ServerId(1)).unwrap().handle(Input::ClientRequests {
+                data: vec![Bytes::copy_from_slice(&i.to_le_bytes())],
+            })
         })
         .collect();
     h.dispatch(ServerId(1), acts);
     h.run();
     for (&id, txns) in &h.delivered {
         assert_eq!(txns.len(), 100, "node {id} missed deliveries");
+    }
+    assert_eq!(h.leader(ServerId(1)).outstanding(), 0);
+}
+
+#[test]
+fn one_batch_of_requests_commits_everything_in_order() {
+    let mut h = Harness::new(5, ServerId(1));
+    let data = (0..100u32).map(|i| Bytes::copy_from_slice(&i.to_le_bytes())).collect();
+    let acts = h.nodes.get_mut(&ServerId(1)).unwrap().handle(Input::ClientRequests { data });
+    h.dispatch(ServerId(1), acts);
+    h.run();
+    for (&id, txns) in &h.delivered {
+        let payloads: Vec<u32> =
+            txns.iter().map(|t| u32::from_le_bytes(t.data[..].try_into().unwrap())).collect();
+        assert_eq!(payloads, (0..100).collect::<Vec<_>>(), "node {id} delivered out of order");
+        assert!(txns.windows(2).all(|w| w[1].zxid.follows(w[0].zxid)), "one zxid per op");
     }
     assert_eq!(h.leader(ServerId(1)).outstanding(), 0);
 }
@@ -424,7 +439,7 @@ fn outstanding_window_throttles_proposals() {
             h.nodes
                 .get_mut(&ServerId(1))
                 .unwrap()
-                .handle(Input::ClientRequest { data: Bytes::copy_from_slice(&[i]) })
+                .handle(Input::ClientRequests { data: vec![Bytes::copy_from_slice(&[i])] })
         })
         .collect();
     assert_eq!(h.leader(ServerId(1)).outstanding(), 2);

@@ -38,8 +38,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (0u32..100, arb_zxid())
             .prop_map(|(e, z)| Message::AckNewLeader { epoch: Epoch(e), last_zxid: z }),
         arb_zxid().prop_map(|z| Message::UpToDate { commit_to: z }),
-        (arb_txn(), arb_zxid())
-            .prop_map(|(txn, commit_up_to)| Message::Propose { txn, commit_up_to }),
+        (prop::collection::vec(arb_txn(), 1..4), arb_zxid())
+            .prop_map(|(txns, commit_up_to)| Message::Propose { txns, commit_up_to }),
         arb_zxid().prop_map(|zxid| Message::Ack { zxid }),
         arb_zxid().prop_map(|zxid| Message::Commit { zxid }),
         arb_zxid().prop_map(|last_committed| Message::Ping { last_committed }),
@@ -85,10 +85,10 @@ proptest! {
     /// `Bytes` without re-encoding.
     #[test]
     fn forward_wrapped_propose_is_byte_identical(
-        txn in arb_txn(),
+        txns in prop::collection::vec(arb_txn(), 1..4),
         commit_up_to in arb_zxid(),
     ) {
-        let origin = Message::Propose { txn, commit_up_to };
+        let origin = Message::Propose { txns, commit_up_to };
         let origin_bytes = origin.encode();
         let fwd = Message::Forward { inner: Bytes::from(origin_bytes.clone()) };
         match Message::decode(&fwd.encode()).unwrap() {
@@ -286,7 +286,8 @@ proptest! {
         zxid in arb_zxid(),
     ) {
         let payload: Vec<u8> = (0..size).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect();
-        let msg = Message::Propose { txn: Txn::new(zxid, payload.clone()), commit_up_to: Zxid::ZERO };
+        let msg =
+            Message::Propose { txns: vec![Txn::new(zxid, payload.clone())], commit_up_to: Zxid::ZERO };
 
         // Encode and frame as the transport does, then feed the frame
         // through the segment-based decoder.
@@ -297,9 +298,10 @@ proptest! {
         prop_assert!(dec.next_frame().unwrap().is_none());
 
         match Message::decode_bytes(wire).unwrap() {
-            Message::Propose { txn, .. } => {
-                prop_assert_eq!(txn.zxid, zxid);
-                prop_assert_eq!(txn.data.as_ref(), &payload[..]);
+            Message::Propose { txns, .. } => {
+                prop_assert_eq!(txns.len(), 1);
+                prop_assert_eq!(txns[0].zxid, zxid);
+                prop_assert_eq!(txns[0].data.as_ref(), &payload[..]);
             }
             other => prop_assert!(false, "wrong decode: {:?}", other),
         }

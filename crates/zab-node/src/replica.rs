@@ -319,6 +319,7 @@ impl<A: Application> Replica<A> {
             relay_forwards: metrics.counter("transport.relay_forwards"),
             election_started_ms: None,
             pending_submits: VecDeque::new(),
+            staged_submits: Vec::new(),
             admission,
             tracer,
             health,
@@ -525,6 +526,12 @@ struct EventLoop<A: Application> {
     /// latency origin plus the admit/submit instants the flight recorder
     /// replays retroactively at delivery, when the zxid is known.
     pending_submits: VecDeque<PendingSubmit>,
+    /// Executed submits not yet fed to the automaton. Every submit one
+    /// sweep drains is staged here and fed as one `ClientRequests` input
+    /// before the next non-submit input and before the transport flush,
+    /// so the automaton sees the same input order with consecutive
+    /// submits merged — and proposes them as one batch.
+    staged_submits: Vec<Bytes>,
     /// Latency-target controller steering the submit gate's capacity
     /// toward the pipeline's observed in-flight sweet spot.
     admission: AdaptiveWindow,
@@ -602,9 +609,9 @@ impl<A: Application> EventLoop<A> {
             }
             // Opportunistic batch: handle whatever is already queued on
             // the high-rate channels before flushing the transport, so a
-            // backlog of submits leaves as one vectored PROPOSE burst
-            // per peer (and a burst of proposals as one ACK batch)
-            // instead of a write syscall per message. An empty backlog
+            // backlog of submits leaves as one PROPOSE batch per peer
+            // (and a burst of proposals as one ACK batch) instead of a
+            // frame and a write syscall per message. An empty backlog
             // skips straight to the flush — no added latency.
             if !self.drain_backlog() {
                 return;
@@ -616,6 +623,8 @@ impl<A: Application> EventLoop<A> {
 
     /// Non-blocking sweep of the submit / disk / transport channels, in
     /// that priority order, bounded so ticks stay timely under overload.
+    /// Submits are staged and reach the automaton as one batch, ahead of
+    /// the next disk or transport input and before the sweep returns.
     /// Returns `false` when a shutdown command surfaced.
     fn drain_backlog(&mut self) -> bool {
         for _ in 0..Self::DRAIN_BATCH {
@@ -628,17 +637,28 @@ impl<A: Application> EventLoop<A> {
             }
             let done = self.done_rx.try_recv();
             if let Ok(done) = done {
+                self.feed_staged_submits();
                 self.on_disk_done(done);
                 continue;
             }
             let ev = self.transport.events().try_recv();
             if let Ok(ev) = ev {
+                self.feed_staged_submits();
                 self.on_transport_event(ev);
                 continue;
             }
             break;
         }
+        self.feed_staged_submits();
         true
+    }
+
+    /// Feeds every staged submit to the automaton as one input.
+    fn feed_staged_submits(&mut self) {
+        if !self.staged_submits.is_empty() {
+            let data = std::mem::take(&mut self.staged_submits);
+            self.feed_zab(Input::ClientRequests { data });
+        }
     }
 
     /// Returns `false` on shutdown.
@@ -915,8 +935,9 @@ impl<A: Application> EventLoop<A> {
                 Action::Activated { .. } | Action::Committed { .. } => {}
                 Action::ClientRequestRejected { data, reason } => {
                     // The request was accepted by on_submit (it holds a
-                    // gate slot and the newest latency entry) but the core
-                    // bounced it: undo both.
+                    // gate slot and a latency entry) but the core bounced
+                    // it: undo both. The core rejects a whole batch or its
+                    // tail, so the newest entry is always a rejected one.
                     if self.was_primary && self.pending_submits.pop_back().is_some() {
                         self.node_metrics.commit_inflight.set(self.pending_submits.len() as i64);
                         self.submit_gate.release(1);
@@ -962,7 +983,7 @@ impl<A: Application> EventLoop<A> {
                     admit_us,
                 });
                 self.node_metrics.commit_inflight.set(self.pending_submits.len() as i64);
-                self.feed_zab(Input::ClientRequest { data: Bytes::from(delta) });
+                self.staged_submits.push(Bytes::from(delta));
             }
             Err(reason) => {
                 self.submit_gate.release(1);

@@ -120,9 +120,13 @@ fn metrics_agree_across_replicas_and_time_the_commit_path() {
     let commit = ls.histogram("node.commit_latency_ms").expect("commit histogram");
     assert_eq!(commit.count, N, "every submit should have an end-to-end sample");
     assert_eq!(ls.gauge("node.commit_inflight"), 0, "inflight not drained");
-    assert!(ls.counter("log.appends") >= N, "leader appended each proposal");
+    // Submits the event loop drained together leave as one PROPOSE
+    // batch with one log append, so appends count batches: at least one,
+    // at most one per proposal.
+    let appends = ls.counter("log.appends");
+    assert!((1..=N).contains(&appends), "leader made {appends} appends for {N} proposals");
     assert!(ls.counter("log.fsyncs") >= 1, "group commit flushed at least once");
-    assert!(ls.counter_sum("transport.frames_out.") >= N, "leader broadcast frames");
+    assert!(ls.counter_sum("transport.frames_out.") >= 2, "leader broadcast frames");
     assert!(ls.counter("node.role_transitions") >= 1);
     assert!(ls.histogram("node.election_duration_ms").is_some_and(|h| h.count >= 1));
     // Quorum = leader self-ack + at least one follower, so across the

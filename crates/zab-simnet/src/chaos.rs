@@ -212,6 +212,8 @@ pub struct ChaosReport {
     pub storage_faults: u64,
     /// Elections started.
     pub elections_started: u64,
+    /// Most transactions one PROPOSE frame carried, direct or relayed.
+    pub max_propose_txns: usize,
     /// Virtual time at the end of the run (µs).
     pub end_us: u64,
 }
@@ -420,6 +422,7 @@ pub fn run_schedule(
         messages_dropped: stats.messages_dropped,
         storage_faults: stats.storage_faults,
         elections_started: stats.elections_started,
+        max_propose_txns: stats.max_propose_txns,
         end_us: sim.now_us(),
     })
 }

@@ -482,7 +482,7 @@ impl Sim {
     /// benches use workloads).
     pub fn submit(&mut self, node: ServerId, data: Vec<u8>) {
         self.broadcast_hashes.insert(payload_hash(&data));
-        self.feed(node, LocalInput::Zab(Input::ClientRequest { data: Bytes::from(data) }));
+        self.feed(node, LocalInput::Zab(Input::ClientRequests { data: vec![Bytes::from(data)] }));
     }
 
     /// Installs a closed-loop workload and schedules its first issues.
@@ -743,15 +743,26 @@ impl Sim {
         self.schedule(self.cfg.disconnect_detect_us, SimEventKind::Disconnect { node: a, peer: b });
     }
 
-    /// The zxid a wire message is traced under: only the per-transaction
-    /// broadcast path (Propose / Ack / Commit), mirroring the real
-    /// transport — heartbeats, election, and sync streams would drown
-    /// the per-transaction timelines.
-    fn traced_zxid(wire: &Wire) -> Option<u64> {
+    /// The zxids a wire message is traced under, one instant each,
+    /// exactly as the real transport traces them
+    /// ([`Message::traced_zxids`]).
+    fn traced_zxids(wire: &Wire) -> impl Iterator<Item = u64> {
         match wire {
-            Wire::Zab(Message::Propose { txn, .. }) => Some(txn.zxid.0),
-            Wire::Zab(Message::Ack { zxid }) | Wire::Zab(Message::Commit { zxid }) => Some(zxid.0),
-            _ => None,
+            Wire::Zab(msg) => msg.traced_zxids(),
+            Wire::Election(_) => None,
+        }
+        .into_iter()
+        .flatten()
+    }
+
+    /// Transactions in a PROPOSE frame, looking through a relay wrapper.
+    fn propose_txns(msg: &Message) -> usize {
+        match msg {
+            Message::Propose { txns, .. } => txns.len(),
+            Message::Forward { inner } => {
+                Message::decode_bytes(inner.clone()).map_or(0, |m| Self::propose_txns(&m))
+            }
+            _ => 0,
         }
     }
 
@@ -769,8 +780,11 @@ impl Sim {
                 | Message::Ping { .. }
                 | Message::Pong { .. }
                 | Message::SyncAck { .. } => 9,
-                // tag + watermark + zxid + len prefix + payload.
-                Message::Propose { txn, .. } => 21 + txn.data.len(),
+                // tag + watermark + count prefix + (zxid + len prefix +
+                // payload) per txn.
+                Message::Propose { txns, .. } => {
+                    13 + txns.iter().map(|t| 12 + t.data.len()).sum::<usize>()
+                }
                 Message::SyncDiff { txns } => {
                     5 + txns.iter().map(|t| 12 + t.data.len()).sum::<usize>()
                 }
@@ -806,8 +820,11 @@ impl Sim {
             self.cut_link(from, to);
             return;
         }
-        if let Some(zxid) = Self::traced_zxid(&wire) {
+        for zxid in Self::traced_zxids(&wire) {
             self.nodes[&from].recorder.record(Stage::WireOut, zxid, to.0);
+        }
+        if let Wire::Zab(msg) = &wire {
+            self.stats.max_propose_txns = self.stats.max_propose_txns.max(Self::propose_txns(msg));
         }
         let size = Self::wire_size(&wire);
         *self.egress_bytes.entry(from).or_insert(0) += size as u64;
@@ -858,7 +875,7 @@ impl Sim {
                 }
                 self.stats.messages_delivered += 1;
                 self.stats.bytes_delivered += size as u64;
-                if let Some(zxid) = Self::traced_zxid(&wire) {
+                for zxid in Self::traced_zxids(&wire) {
                     self.nodes[&to].recorder.record(Stage::WireIn, zxid, from.0);
                 }
                 match wire {
@@ -903,12 +920,26 @@ impl Sim {
                 }
                 self.feed(node, LocalInput::Zab(Input::PeerDisconnected { peer }));
             }
-            SimEventKind::Issue { op_id } => self.workload_issue(op_id),
+            SimEventKind::Issue { op_id } => {
+                // Every op issued at this same instant reaches the leader
+                // as one batch, the way a node merges the submits one
+                // drain sweep finds.
+                let mut ops = vec![op_id];
+                while let Some(e) = self.events.peek() {
+                    let SimEventKind::Issue { op_id } = &e.kind else { break };
+                    if e.time_us != self.now_us {
+                        break;
+                    }
+                    ops.push(*op_id);
+                    self.events.pop();
+                }
+                self.workload_issue(ops);
+            }
             SimEventKind::OpTimeout { op_id } => {
                 if self.wl_in_flight.contains_key(&op_id) {
                     // Not completed in time (leader died mid-flight):
                     // re-issue.
-                    self.workload_issue(op_id);
+                    self.workload_issue(vec![op_id]);
                 }
             }
         }
@@ -1108,24 +1139,32 @@ impl Sim {
     // Workload plumbing
     // ------------------------------------------------------------------
 
-    fn workload_issue(&mut self, op_id: u64) {
+    /// Issues `ops` to the current leader as one `ClientRequests` batch,
+    /// or reschedules them all when there is no leader.
+    fn workload_issue(&mut self, ops: Vec<u64>) {
         let Some(wl) = &self.workload else { return };
         let (payload_size, retry, timeout) = match wl {
             Workload::Closed(s) => (s.payload_size, s.retry_delay_us, s.op_timeout_us),
             Workload::Open(s) => (s.payload_size, s.retry_delay_us, None),
         };
         let Some(leader) = self.leader() else {
-            self.schedule(retry, SimEventKind::Issue { op_id });
+            for op_id in ops {
+                self.schedule(retry, SimEventKind::Issue { op_id });
+            }
             return;
         };
-        let data = op_payload(op_id, payload_size);
-        self.broadcast_hashes.insert(payload_hash(&data));
-        self.wl_in_flight.entry(op_id).or_insert(self.now_us);
-        self.wl_issued += 1;
-        if let Some(t) = timeout {
-            self.schedule(t, SimEventKind::OpTimeout { op_id });
+        let mut batch = Vec::with_capacity(ops.len());
+        for op_id in ops {
+            let data = op_payload(op_id, payload_size);
+            self.broadcast_hashes.insert(payload_hash(&data));
+            self.wl_in_flight.entry(op_id).or_insert(self.now_us);
+            self.wl_issued += 1;
+            if let Some(t) = timeout {
+                self.schedule(t, SimEventKind::OpTimeout { op_id });
+            }
+            batch.push(Bytes::from(data));
         }
-        self.feed(leader, LocalInput::Zab(Input::ClientRequest { data: Bytes::from(data) }));
+        self.feed(leader, LocalInput::Zab(Input::ClientRequests { data: batch }));
     }
 
     /// Called on every delivery; completes workload ops on their first

@@ -73,6 +73,8 @@ pub struct SimStats {
     pub storage_faults: u64,
     /// Snapshot installs rejected as malformed (node fail-stops).
     pub snapshot_install_failures: u64,
+    /// Most transactions one PROPOSE frame carried, direct or relayed.
+    pub max_propose_txns: usize,
 }
 
 impl SimStats {

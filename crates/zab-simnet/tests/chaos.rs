@@ -41,6 +41,24 @@ fn sweep_64_seeds_relay_topology_holds_all_invariants() {
     assert!(ops > 10_000, "relay sweep barely committed anything: {ops} ops");
 }
 
+/// Ops the closed-loop clients issue at one virtual instant reach the
+/// leader as one batch, so chaos load exercises the multi-transaction
+/// PROPOSE frame — under star, and through the relay tree's FORWARDs.
+/// Without it the sweeps above could pass on batches of one alone.
+#[test]
+fn chaos_seed_sends_multi_txn_proposes_under_star_and_relay() {
+    let relay = ChaosConfig { nodes: 9, topology: Topology::Relay, ..ChaosConfig::default() };
+    for cfg in [ChaosConfig::default(), relay] {
+        let report = chaos::run(0, &cfg).unwrap_or_else(|f| panic!("{f}"));
+        assert!(
+            report.max_propose_txns >= 2,
+            "{:?}: no PROPOSE carried two or more txns (max {})",
+            cfg.topology,
+            report.max_propose_txns
+        );
+    }
+}
+
 /// The targeted relay-crash scenario: under sustained load, crash a live
 /// relay mid-broadcast. The leader must re-parent the orphaned group
 /// members (visible as `core.relay_reassignments`), commits must keep

@@ -55,6 +55,7 @@ use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -100,16 +101,14 @@ impl TransportMsg {
         Bytes::from(buf)
     }
 
-    /// The zxid to attribute this message to in the flight recorder.
-    /// Only the broadcast-path messages (PROPOSE/ACK/COMMIT) are traced;
-    /// heartbeats, election traffic, and sync streams would drown the
-    /// per-transaction timelines in noise.
-    pub(crate) fn traced_zxid(&self) -> Option<u64> {
+    /// The zxids to attribute this message to in the flight recorder,
+    /// one instant each (see [`Message::traced_zxids`]): a PROPOSE batch
+    /// covers every zxid it carries, so each transaction's timeline
+    /// keeps its wire stages.
+    pub(crate) fn traced_zxids(&self) -> Option<RangeInclusive<u64>> {
         match self {
-            TransportMsg::Zab(Message::Propose { txn, .. }) => Some(txn.zxid.0),
-            TransportMsg::Zab(Message::Ack { zxid })
-            | TransportMsg::Zab(Message::Commit { zxid }) => Some(zxid.0),
-            _ => None,
+            TransportMsg::Zab(m) => m.traced_zxids(),
+            TransportMsg::Election(_) => None,
         }
     }
 
@@ -193,8 +192,9 @@ impl Transport {
     /// node-wide `transport.send_dropped` counter. Every traced Zab
     /// message (PROPOSE/ACK/COMMIT) records a `wire-out` instant into
     /// `tracer` when queued and a `wire-in` instant when decoded off a
-    /// peer's connection, keyed by the zxid carried in the frame — no
-    /// extra wire bytes. Both are constructor arguments because the wire
+    /// peer's connection, one per zxid carried in the frame (a PROPOSE
+    /// batch records each of its zxids) — no extra wire bytes. Both are
+    /// constructor arguments because the wire
     /// loop captures them at spawn; pass [`Tracer::disabled`] to record
     /// nothing.
     ///
@@ -273,7 +273,7 @@ impl Transport {
     /// treats the channel as broken either way — and counted in
     /// `transport.send_dropped`.
     pub fn queue(&self, peers: &[ServerId], msg: TransportMsg) {
-        let traced = msg.traced_zxid();
+        let traced = msg.traced_zxids();
         let mut frame: Option<Frame> = None;
         let mut unframeable = false;
         let mut need_wake = false;
@@ -285,7 +285,7 @@ impl Transport {
                 self.send_dropped.inc();
                 continue;
             };
-            if let Some(zxid) = traced {
+            for zxid in traced.clone().into_iter().flatten() {
                 self.tracer.instant(Stage::WireOut, zxid, peer.0);
             }
             // Encode lazily — a send whose every target is unknown never
@@ -352,6 +352,7 @@ impl Drop for Transport {
 mod tests {
     use super::*;
     use conn::MAX_BATCH_FRAMES;
+    use std::collections::BTreeSet;
     use std::thread;
     use std::time::{Duration, Instant};
     use zab_core::{Epoch, Txn, Zxid};
@@ -642,19 +643,19 @@ mod tests {
             send(
                 &mesh[0],
                 ServerId(2),
-                TransportMsg::Zab(Message::Propose { txn, commit_up_to: Zxid::ZERO }),
+                TransportMsg::Zab(Message::Propose { txns: vec![txn], commit_up_to: Zxid::ZERO }),
             );
         }
         let mut seen = 0u32;
         let deadline = Instant::now() + Duration::from_secs(10);
         while seen < count && Instant::now() < deadline {
             if let Some(TransportEvent::Message {
-                msg: TransportMsg::Zab(Message::Propose { txn, commit_up_to: Zxid::ZERO }),
+                msg: TransportMsg::Zab(Message::Propose { txns, commit_up_to: Zxid::ZERO }),
                 ..
             }) = wait_msg(&mesh[1], Duration::from_millis(500))
             {
                 seen += 1;
-                assert_eq!(txn.zxid.counter(), seen, "reordered at {seen}");
+                assert_eq!(txns[0].zxid.counter(), seen, "reordered at {seen}");
             }
         }
         assert_eq!(seen, count, "lost messages on a healthy connection");
@@ -746,6 +747,48 @@ mod tests {
     }
 
     #[test]
+    fn propose_batch_traces_one_wire_instant_per_zxid() {
+        let book: BTreeMap<ServerId, SocketAddr> = (1..=2)
+            .map(|i| {
+                let l = TcpListener::bind("127.0.0.1:0").expect("bind");
+                (ServerId(i), l.local_addr().expect("addr"))
+            })
+            .collect();
+        let clock: Arc<dyn zab_metrics::Clock> = Arc::new(zab_metrics::WallClock::new());
+        let recorders: Vec<_> =
+            (1..=2).map(|i| zab_trace::Recorder::new(i, 1024, clock.clone())).collect();
+        let mesh: Vec<Transport> = (1..=2u64)
+            .map(|i| {
+                let tracer = Tracer::new(recorders[i as usize - 1].clone());
+                let metrics = Arc::new(Registry::new());
+                Transport::start(ServerId(i), book[&ServerId(i)], book.clone(), metrics, tracer)
+                    .expect("start")
+            })
+            .collect();
+        let txns: Vec<Txn> =
+            (9..=11).map(|c| Txn::new(Zxid::new(Epoch(2), c), vec![c as u8])).collect();
+        let batch = Message::Propose { txns, commit_up_to: Zxid::ZERO };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            send(&mesh[0], ServerId(2), TransportMsg::Zab(batch.clone()));
+            if wait_msg(&mesh[1], Duration::from_millis(300)).is_some() {
+                break;
+            }
+            assert!(Instant::now() < deadline, "channel never came up");
+        }
+        let zxids = |r: &zab_trace::Recorder, stage: Stage, peer: u64| -> BTreeSet<u32> {
+            r.snapshot()
+                .iter()
+                .filter(|e| e.stage == stage && e.peer == peer)
+                .map(|e| Zxid(e.zxid).counter())
+                .collect()
+        };
+        let all: BTreeSet<u32> = (9..=11).collect();
+        assert_eq!(zxids(&recorders[0], Stage::WireOut, 2), all);
+        assert_eq!(zxids(&recorders[1], Stage::WireIn, 1), all);
+    }
+
+    #[test]
     fn transport_msg_decode_rejects_garbage() {
         assert!(TransportMsg::decode(Bytes::new()).is_none());
         assert!(TransportMsg::decode(Bytes::from_static(&[7, 1, 2, 3])).is_none());
@@ -754,13 +797,16 @@ mod tests {
 
     #[test]
     fn encode_round_trips_through_decode() {
-        let txn = Txn::new(Zxid::new(Epoch(2), 9), Bytes::from(vec![0xAB; 4096]));
-        let msg = TransportMsg::Zab(Message::Propose { txn, commit_up_to: Zxid::ZERO });
+        let txns = (9..=11)
+            .map(|c| Txn::new(Zxid::new(Epoch(2), c), Bytes::from(vec![0xAB; 4096])))
+            .collect();
+        let msg = TransportMsg::Zab(Message::Propose { txns, commit_up_to: Zxid::ZERO });
         let encoded = msg.encode();
         match TransportMsg::decode(encoded).expect("decodes") {
-            TransportMsg::Zab(Message::Propose { txn, commit_up_to: Zxid::ZERO }) => {
-                assert_eq!(txn.zxid, Zxid::new(Epoch(2), 9));
-                assert_eq!(txn.data.as_ref(), &[0xAB; 4096][..]);
+            TransportMsg::Zab(Message::Propose { txns, commit_up_to: Zxid::ZERO }) => {
+                let zxids: Vec<u32> = txns.iter().map(|t| t.zxid.counter()).collect();
+                assert_eq!(zxids, vec![9, 10, 11]);
+                assert!(txns.iter().all(|t| t.data.as_ref() == &[0xAB; 4096][..]));
             }
             other => panic!("wrong decode: {other:?}"),
         }

@@ -728,7 +728,7 @@ impl WireLoop {
                                 Ok(Some(payload)) => {
                                     frames_in.inc();
                                     if let Some(msg) = TransportMsg::decode(payload) {
-                                        if let Some(zxid) = msg.traced_zxid() {
+                                        for zxid in msg.traced_zxids().into_iter().flatten() {
                                             self.tracer.instant(Stage::WireIn, zxid, peer.0);
                                         }
                                         let _ = self

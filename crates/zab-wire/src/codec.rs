@@ -48,6 +48,11 @@ pub enum WireError {
         /// The type being decoded, for diagnostics.
         context: &'static str,
     },
+    /// A sequence that must hold at least one element was empty.
+    Empty {
+        /// The type being decoded, for diagnostics.
+        context: &'static str,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -63,6 +68,7 @@ impl fmt::Display for WireError {
             WireError::InvalidTag { tag, context } => {
                 write!(f, "invalid tag {tag} while decoding {context}")
             }
+            WireError::Empty { context } => write!(f, "empty {context}"),
         }
     }
 }
