@@ -112,24 +112,36 @@ fn causal_chain_spans_the_ensemble_and_the_admin_endpoint_serves_it() {
     }
 
     // ---- tentpole acceptance: one merged timeline, full causal chain.
-    let merged = merge(replicas.values().map(Replica::trace_events).collect());
-    let by_zxid = timelines(&merged);
     let followers: Vec<u64> = replicas.keys().filter(|id| **id != leader).map(|id| id.0).collect();
-
-    let full_chain = by_zxid.keys().copied().find(|&zxid| {
-        let leader_stages = stages_for(&merged, leader.0, zxid);
-        let leader_ok = [Stage::Submit, Stage::ProposeEnqueue, Stage::Quorum, Stage::Deliver]
-            .iter()
-            .all(|s| leader_stages.contains(s));
-        leader_ok
-            && followers.iter().all(|&f| {
-                let fs = stages_for(&merged, f, zxid);
-                // wire-in of the propose, wire-out of the ack, delivery.
-                fs.contains(&Stage::WireIn)
-                    && fs.contains(&Stage::WireOut)
-                    && fs.contains(&Stage::Deliver)
-            })
-    });
+    let full_chain_in = |merged: &[TraceEvent]| {
+        timelines(merged).keys().copied().find(|&zxid| {
+            let leader_stages = stages_for(merged, leader.0, zxid);
+            let leader_ok = [Stage::Submit, Stage::ProposeEnqueue, Stage::Quorum, Stage::Deliver]
+                .iter()
+                .all(|s| leader_stages.contains(s));
+            leader_ok
+                && followers.iter().all(|&f| {
+                    let fs = stages_for(merged, f, zxid);
+                    // wire-in of the propose, wire-out of the ack, delivery.
+                    fs.contains(&Stage::WireIn)
+                        && fs.contains(&Stage::WireOut)
+                        && fs.contains(&Stage::Deliver)
+                })
+        })
+    };
+    // An ACK is cumulative per PROPOSE batch, so only a batch's last
+    // zxid carries one, and a follower may deliver that zxid (on the
+    // other follower's quorum) before its own ack leaves: wait for it.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let (merged, full_chain) = loop {
+        let merged = merge(replicas.values().map(Replica::trace_events).collect());
+        let found = full_chain_in(&merged);
+        if found.is_some() || Instant::now() > deadline {
+            break (merged, found);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let by_zxid = timelines(&merged);
     if full_chain.is_none() {
         for (&zxid, _) in by_zxid.iter().take(5) {
             eprintln!("zxid {zxid:#x}:");
